@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -21,13 +22,10 @@ import numpy as np
 
 from .analytic import closed_form_for
 from .core import LquReport, NumericalContractViolation, lqu_all
+from .linalg import NoConvergence
 from .states import (
-    PURE_FAMILIES,
-    DensityMatrixFormatError,
-    GammaOutOfRange,
-    NoiseOutOfRange,
+    FAMILY_NAMES,
     StateSpec,
-    UnknownFamily,
     build_state,
     load_density_matrix,
     mix_white_noise,
@@ -35,8 +33,6 @@ from .states import (
     save_density_matrix,
     validate,
 )
-
-SWEEP_FAMILIES = tuple(PURE_FAMILIES) + ("kay", "random")
 
 
 def _fmt(x: float) -> str:
@@ -61,6 +57,8 @@ class SweepConfig:
             )
         lo, hi = (2.0, np.inf) if self.spec.family == "kay" else (0.0, 1.0)
         for name, p in (("--from", self.param_from), ("--to", self.param_to)):
+            if not math.isfinite(p):
+                raise ValueError(f"{name} = {p} is not a finite number")
             if not lo <= p <= hi:
                 raise ValueError(
                     f"{name} = {p} outside the {self.spec.family!r} domain "
@@ -117,16 +115,17 @@ def cmd_sweep(args) -> int:
         return 2
     spec = StateSpec(args.family, args.param_from, args.qubits, args.seed)
     config = SweepConfig(spec, args.param_from, args.param_to, args.steps, args.out)
-    header, rows = sweep_rows(config)
+    config.check()
+    # Open before computing, so a bad path fails before any work is done.
+    fh = open(config.output_path, "w", encoding="utf-8", newline="")
     try:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+        with fh:
+            header, rows = sweep_rows(config)
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
     except BaseException:
-        # never leave a partial file behind
-        if os.path.exists(config.output_path):
-            os.remove(config.output_path)
+        os.remove(config.output_path)  # never leave a partial file behind
         raise
     return 0
 
@@ -158,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.set_defaults(func=cmd_compute)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep written as CSV")
-    p_sweep.add_argument("--family", required=True, choices=SWEEP_FAMILIES)
+    p_sweep.add_argument("--family", required=True, choices=FAMILY_NAMES)
     p_sweep.add_argument("--from", dest="param_from", type=float, required=True,
                          metavar="A", help="first parameter value")
     p_sweep.add_argument("--to", dest="param_to", type=float, required=True,
@@ -184,17 +183,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NumericalContractViolation as exc:
+    except (NumericalContractViolation, NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (
-        DensityMatrixFormatError,
-        UnknownFamily,
-        NoiseOutOfRange,
-        GammaOutOfRange,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:  # the package's input errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,13 +15,14 @@ from functools import reduce
 import numpy as np
 
 from .linalg import (
+    IMAG_TOL,
+    RANGE_TOL,
+    SKEW_NEG_TOL,
     DimensionMismatch,
-    NotHermitian,
     as_square_complex,
-    hermitian_eig,
     hermiticity_defect,
     kron,
-    matrix_sqrt_psd,
+    require_hermitian,
     trace_product,
 )
 from .states import DensityMatrix, gaussian_reals
@@ -31,10 +32,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {1: PAULI_X, 2: PAULI_Y, 3: PAULI_Z}
 IDENTITY_2 = np.eye(2, dtype=complex)
-
-IMAG_TOL = 1e-10  # imaginary residue allowed on computed traces
-RANGE_TOL = 1e-9  # clamping band around [0, 1]
-SKEW_NEG_TOL = 1e-10
 
 
 class IndexOutOfRange(IndexError):
@@ -91,17 +88,20 @@ def local_observable(n_qubits: int, qubit_index: int, pauli_index: int) -> np.nd
     return reduce(kron, factors)
 
 
+def _check_qubit(rho: DensityMatrix, qubit_index: int) -> None:
+    if not 0 <= qubit_index < rho.n_qubits:
+        raise IndexOutOfRange(
+            f"qubit_index {qubit_index} outside [0, {rho.n_qubits})"
+        )
+
+
 def _check_observable(rho: DensityMatrix, k) -> np.ndarray:
     k = as_square_complex(k, "observable")
     if k.shape[0] != rho.dim:
         raise DimensionMismatch(
             f"observable has dimension {k.shape[0]}, state has {rho.dim}"
         )
-    defect = hermiticity_defect(k)
-    if defect > IMAG_TOL:
-        raise NotHermitian(
-            f"observable is not Hermitian: max |k - k^H| = {defect:.3e}"
-        )
+    require_hermitian(hermiticity_defect(k), "observable")
     return k
 
 
@@ -119,7 +119,7 @@ def skew_information(rho: DensityMatrix, k) -> float:
     and the observable commute, and never meaningfully negative.
     """
     k = _check_observable(rho, k)
-    sqrt_m = matrix_sqrt_psd(rho.matrix)
+    sqrt_m = rho.spectrum.sqrt()
     value = float(_skew_terms(rho.matrix, sqrt_m, k[np.newaxis])[0])
     if value < -SKEW_NEG_TOL:
         raise NumericalContractViolation(
@@ -128,7 +128,11 @@ def skew_information(rho: DensityMatrix, k) -> float:
     return value
 
 
-def _correlation_given_sqrt(sqrt_m: np.ndarray, n_qubits: int, qubit_index: int) -> CorrelationMatrix3:
+def _correlation_given_sqrt(
+    sqrt_m: np.ndarray, n_qubits: int, qubit_index: int
+) -> tuple[CorrelationMatrix3, float]:
+    """The correlation matrix and its largest eigenvalue, after checking that
+    its eigenvalues lie in [0, 1] up to RANGE_TOL."""
     obs = [local_observable(n_qubits, qubit_index, p) for p in (1, 2, 3)]
     m = np.zeros((3, 3))
     for i in range(3):
@@ -146,40 +150,28 @@ def _correlation_given_sqrt(sqrt_m: np.ndarray, n_qubits: int, qubit_index: int)
             f"correlation matrix eigenvalues [{w[0]:.3e}, {w[-1]:.3e}] "
             f"escape [0, 1] beyond {RANGE_TOL:.0e}"
         )
-    return CorrelationMatrix3(measured_qubit=qubit_index, entries=m)
+    return CorrelationMatrix3(measured_qubit=qubit_index, entries=m), float(w[-1])
 
 
 def correlation_matrix(rho: DensityMatrix, qubit_index: int) -> CorrelationMatrix3:
     """The 3x3 Pauli correlation matrix for measurements on one qubit.
 
-    sqrt(rho) is computed once and reused across all entries (six computed,
-    three mirrored).
+    The state's shared sqrt(rho) is reused across all entries (six
+    computed, three mirrored).
     """
-    if not 0 <= qubit_index < rho.n_qubits:
-        raise IndexOutOfRange(
-            f"qubit_index {qubit_index} outside [0, {rho.n_qubits})"
-        )
-    sqrt_m = matrix_sqrt_psd(rho.matrix)
-    return _correlation_given_sqrt(sqrt_m, rho.n_qubits, qubit_index)
+    _check_qubit(rho, qubit_index)
+    return _correlation_given_sqrt(rho.spectrum.sqrt(), rho.n_qubits, qubit_index)[0]
 
 
-def _clamp_unit(value: float, what: str) -> float:
-    """Snap values within RANGE_TOL of [0, 1] back onto it; farther excursions
-    indicate a logic error, not rounding, and raise."""
-    if -RANGE_TOL <= value < 0.0:
-        return 0.0
-    if 1.0 < value <= 1.0 + RANGE_TOL:
-        return 1.0
-    if value < 0.0 or value > 1.0:
-        raise NumericalContractViolation(
-            f"{what} = {value!r} outside [0, 1] beyond {RANGE_TOL:.0e}"
-        )
-    return value
+def _clamp_unit(value: float) -> float:
+    """Snap rounding excursions back onto [0, 1]. The correlation range
+    check has already bounded them by RANGE_TOL."""
+    return min(max(value, 0.0), 1.0)
 
 
-def _lqu_from_correlation(corr: CorrelationMatrix3) -> float:
-    lam_max = float(np.linalg.eigvalsh(corr.entries)[-1])
-    return _clamp_unit(1.0 - lam_max, "local quantum uncertainty")
+def _lqu_given_sqrt(sqrt_m: np.ndarray, n_qubits: int, qubit_index: int) -> float:
+    _, lam_max = _correlation_given_sqrt(sqrt_m, n_qubits, qubit_index)
+    return _clamp_unit(1.0 - lam_max)
 
 
 def lqu_bipartition(rho: DensityMatrix, qubit_index: int) -> float:
@@ -189,20 +181,18 @@ def lqu_bipartition(rho: DensityMatrix, qubit_index: int) -> float:
     noiseless GHZ families, 0 for the maximally mixed and for any product
     of a pure qubit with the rest.
     """
-    return _lqu_from_correlation(correlation_matrix(rho, qubit_index))
+    _check_qubit(rho, qubit_index)
+    return _lqu_given_sqrt(rho.spectrum.sqrt(), rho.n_qubits, qubit_index)
 
 
 def lqu_all(rho: DensityMatrix) -> LquReport:
     """Per-bipartition values for every qubit plus their arithmetic mean.
 
-    The square root of rho is computed once and shared; the mean sums in
+    The state's shared square root serves every qubit; the mean sums in
     ascending qubit order so results are order-independent.
     """
-    sqrt_m = matrix_sqrt_psd(rho.matrix)
-    values = tuple(
-        _lqu_from_correlation(_correlation_given_sqrt(sqrt_m, rho.n_qubits, q))
-        for q in range(rho.n_qubits)
-    )
+    sqrt_m = rho.spectrum.sqrt()
+    values = tuple(_lqu_given_sqrt(sqrt_m, rho.n_qubits, q) for q in range(rho.n_qubits))
     return LquReport(per_bipartition=values, mean=sum(values) / rho.n_qubits)
 
 
@@ -217,14 +207,10 @@ def lqu_variational(rho: DensityMatrix, qubit_index: int, n_samples: int, seed: 
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if not 0 <= qubit_index < rho.n_qubits:
-        raise IndexOutOfRange(
-            f"qubit_index {qubit_index} outside [0, {rho.n_qubits})"
-        )
+    _check_qubit(rho, qubit_index)
     rng = np.random.Generator(np.random.PCG64(seed))
     directions = gaussian_reals(rng, 3 * n_samples).reshape(n_samples, 3)
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     obs = np.stack([local_observable(rho.n_qubits, qubit_index, p) for p in (1, 2, 3)])
     k_batch = np.einsum("si,ijk->sjk", directions, obs)
-    sqrt_m = matrix_sqrt_psd(rho.matrix)
-    return float(_skew_terms(rho.matrix, sqrt_m, k_batch).min())
+    return float(_skew_terms(rho.matrix, rho.spectrum.sqrt(), k_batch).min())

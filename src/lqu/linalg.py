@@ -2,7 +2,8 @@
 
 Everything here operates on square numpy arrays of complex128. The heavy
 lifting (eigendecomposition) is delegated to LAPACK via numpy; this module
-adds the Hermiticity/positivity contracts the rest of the package relies on.
+adds the Hermiticity/positivity contracts the rest of the package relies on,
+and holds the package's one table of numerical tolerances.
 """
 
 from __future__ import annotations
@@ -10,6 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# --- tolerances ------------------------------------------------------------
+#
+# Every threshold the package applies, in one place. All are absolute: they
+# bound entries, eigenvalues and traces of unit-trace density matrices and
+# the Pauli correlations built from them, which are O(1) whatever the qubit
+# count, so a fixed band far above double rounding separates rounding dirt
+# from a real defect. README.md ("Tolerances") gives the reason for each.
+HERMITICITY_TOL = 1e-10  # max |m - m^H| of a state or an observable
+TRACE_TOL = 1e-10        # |Tr rho - 1|
+PSD_TOL = 1e-8           # how far below 0 an eigenvalue of rho may sit
+IMAG_TOL = 1e-10         # imaginary residue of a correlation entry
+RANGE_TOL = 1e-9         # how far correlation eigenvalues may leave [0, 1]
+SKEW_NEG_TOL = 1e-10     # how far below 0 skew information may sit
 
 
 class NotHermitian(ValueError):
@@ -41,6 +56,35 @@ class HermitianEigenSystem:
     eigenvectors: np.ndarray
 
 
+@dataclass(frozen=True)
+class Spectrum:
+    """What the package reads from one eigendecomposition of a matrix.
+
+    hermiticity_defect is max |m - m^dagger| of the matrix itself;
+    eigenvalues (ascending) and root belong to its Hermitian part. root is
+    the principal square root with every eigenvalue at or below the rounding
+    floor zeroed; sqrt() hands it out once the contracts hold.
+    """
+
+    hermiticity_defect: float
+    eigenvalues: np.ndarray
+    root: np.ndarray
+
+    def sqrt(self) -> np.ndarray:
+        """Principal square root of a Hermitian PSD matrix.
+
+        Raises NotHermitian beyond HERMITICITY_TOL and
+        NotPositiveSemidefinite for an eigenvalue below -PSD_TOL; smaller
+        negative eigenvalues are rounding dirt and count as zero.
+        """
+        require_hermitian(self.hermiticity_defect)
+        if self.eigenvalues[0] < -PSD_TOL:
+            raise NotPositiveSemidefinite(
+                f"smallest eigenvalue {self.eigenvalues[0]:.3e} is below -{PSD_TOL:.3e}"
+            )
+        return self.root
+
+
 def as_square_complex(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex128 array, rejecting anything else."""
     a = np.asarray(m, dtype=complex)
@@ -54,47 +98,52 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def hermitian_eig(m, tol: float = 1e-10) -> HermitianEigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Raises NotHermitian if max |m - m^dagger| exceeds tol, and NoConvergence
-    if the underlying iteration fails (only possible for pathological input).
-    """
-    a = as_square_complex(m)
-    defect = hermiticity_defect(a)
-    if defect > tol:
+def require_hermitian(defect: float, name: str = "matrix") -> None:
+    """Raise NotHermitian when a Hermiticity defect exceeds HERMITICITY_TOL."""
+    if defect > HERMITICITY_TOL:
         raise NotHermitian(
-            f"matrix is not Hermitian: max |m - m^H| = {defect:.3e} > {tol:.3e}"
+            f"{name} is not Hermitian: max |m - m^H| = {defect:.3e} > {HERMITICITY_TOL:.3e}"
         )
+
+
+def _eigh_hermitian_part(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Work on the exactly-Hermitian part so LAPACK sees clean input.
-    a = (a + a.conj().T) / 2
     try:
-        w, v = np.linalg.eigh(a)
+        return np.linalg.eigh((a + a.conj().T) / 2)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
-    return HermitianEigenSystem(eigenvalues=w, eigenvectors=v)
 
 
-def matrix_sqrt_psd(m, neg_tol: float = 1e-8) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
+def hermitian_eig(m) -> HermitianEigenSystem:
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Eigenvalues in [-neg_tol, 0) are clamped to zero (rounding dirt from
-    noise mixing or file input); anything below -neg_tol raises
-    NotPositiveSemidefinite. Eigenvalues below dim * eps * max|lambda| are
-    also zeroed: for rank-deficient input the eigensolver reports the null
-    space as O(eps) noise, and sqrt would amplify +1e-16 to 1e-8.
+    Raises NotHermitian beyond HERMITICITY_TOL, and NoConvergence if the
+    underlying iteration fails (only possible for pathological input).
     """
-    eig = hermitian_eig(m)
-    w = eig.eigenvalues
-    if w[0] < -neg_tol:
-        raise NotPositiveSemidefinite(
-            f"smallest eigenvalue {w[0]:.3e} is below -{neg_tol:.3e}"
-        )
+    a = as_square_complex(m)
+    require_hermitian(hermiticity_defect(a))
+    return HermitianEigenSystem(*_eigh_hermitian_part(a))
+
+
+def spectrum(m) -> Spectrum:
+    """Hermiticity defect, eigenvalues and square root from one eigh.
+
+    Never raises on a non-Hermitian or non-PSD input, so validation can
+    report such defects as data; Spectrum.sqrt() enforces them. Eigenvalues
+    below dim * eps * max|lambda| are zeroed in the root: for rank-deficient
+    input the eigensolver reports the null space as O(eps) noise, and sqrt
+    would amplify +1e-16 to 1e-8.
+    """
+    a = as_square_complex(m)
+    w, v = _eigh_hermitian_part(a)
     floor = w.shape[0] * np.finfo(float).eps * np.abs(w).max(initial=0.0)
-    root = np.sqrt(np.where(w > floor, w, 0.0))
-    v = eig.eigenvectors
-    out = (v * root) @ v.conj().T
-    return (out + out.conj().T) / 2
+    root = (v * np.sqrt(np.where(w > floor, w, 0.0))) @ v.conj().T
+    return Spectrum(hermiticity_defect(a), w, (root + root.conj().T) / 2)
+
+
+def matrix_sqrt_psd(m) -> np.ndarray:
+    """Principal square root of a Hermitian PSD matrix; see Spectrum.sqrt."""
+    return spectrum(m).sqrt()
 
 
 def kron(a, b) -> np.ndarray:

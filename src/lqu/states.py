@@ -9,15 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import hermitian_eig, hermiticity_defect
-
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-8
+from .linalg import HERMITICITY_TOL, PSD_TOL, TRACE_TOL, Spectrum, spectrum
 
 
 class UnknownFamily(ValueError):
@@ -68,14 +65,17 @@ class DensityMatrix:
     """2^N x 2^N complex matrix meant to be Hermitian, unit-trace and PSD.
 
     Construction only checks the shape; numeric invariants are checked by
-    validate(), which reports violations as data instead of raising.
+    validate(), which reports violations as data instead of raising. The
+    matrix is stored as a read-only copy, so the spectrum computed from it
+    on first use can never go stale.
     """
 
     n_qubits: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
@@ -89,6 +89,12 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """The one eigendecomposition of this state: validate, the Kay
+        family's check and every sqrt(rho) in core read it."""
+        return spectrum(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -180,12 +186,13 @@ def kay_state(gamma: float) -> DensityMatrix:
         m[i, i] = diag[i]
         m[i, 7 - i] = anti[i]
     m /= 8 + 8 * g
-    if hermitian_eig(m).eigenvalues[0] < -PSD_TOL:
+    rho = DensityMatrix(n_qubits=3, matrix=m)
+    if rho.spectrum.eigenvalues[0] < -PSD_TOL:
         raise GammaOutOfRange(
             f"gamma = {gamma} gives a non-PSD matrix "
             f"(min eigenvalue {(g - 2) / (8 + 8 * g):.3e}); gamma >= 2 required"
         )
-    return DensityMatrix(n_qubits=3, matrix=m)
+    return rho
 
 
 def gaussian_reals(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -223,19 +230,19 @@ def validate(rho: DensityMatrix) -> list[Violation]:
     """Check the Hermitian / unit-trace / PSD invariants.
 
     Returns an empty list when all hold at their tolerances; otherwise one
-    Violation per failed invariant, magnitudes included. Never raises.
+    Violation per failed invariant, magnitudes included. Never raises on a
+    violation; only an eigensolver failure (NoConvergence) escapes.
     """
-    m = rho.matrix
+    spec = rho.spectrum
     out: list[Violation] = []
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
-        out.append(Violation("HermiticityViolation", defect))
-    trace_err = abs(complex(np.trace(m)) - 1.0)
+    if spec.hermiticity_defect > HERMITICITY_TOL:
+        out.append(Violation("HermiticityViolation", spec.hermiticity_defect))
+    trace_err = abs(complex(np.trace(rho.matrix)) - 1.0)
     if trace_err > TRACE_TOL:
         out.append(Violation("TraceViolation", trace_err))
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    if w[0] < -PSD_TOL:
-        out.append(Violation("PsdViolation", float(-w[0])))
+    w0 = spec.eigenvalues[0]
+    if w0 < -PSD_TOL:
+        out.append(Violation("PsdViolation", float(-w0)))
     return out
 
 

@@ -221,3 +221,39 @@ def test_random_command_rejects_bad_fraction(capsys):
                        "--pure-fraction", "1.5")
     assert code == 2
     assert "pure-fraction" in err
+
+
+@pytest.mark.parametrize("bounds", [("2", "inf"), ("inf", "inf"), ("2", "nan")])
+def test_sweep_rejects_non_finite_bounds(tmp_path, capsys, bounds):
+    out_path = tmp_path / "kay.csv"
+    code, _, err = run(capsys, "sweep", "--family", "kay", "--from", bounds[0],
+                       "--to", bounds[1], "--steps", "3", "--out", str(out_path))
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert not out_path.exists()
+
+
+def test_no_convergence_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    path = write_state(tmp_path, lqu.DensityMatrix(3, np.eye(8) / 8))
+
+    def fail(_):
+        raise lqu.NoConvergence("eigendecomposition did not converge")
+
+    monkeypatch.setattr(cli, "lqu_all", fail)
+    code, out, err = run(capsys, "compute", path)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error: eigendecomposition did not converge"]
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_sweep_bad_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch, where):
+    out_path = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    calls = []
+    monkeypatch.setattr(cli, "lqu_all", calls.append)
+    code, _, err = run(capsys, "sweep", "--family", "ghz4", "--from", "0", "--to", "1",
+                       "--steps", "2001", "--out", str(out_path))
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert calls == []
+    assert tmp_path.is_dir() and list(tmp_path.iterdir()) == []

@@ -8,6 +8,7 @@ from lqu.core import (
     IndexOutOfRange,
     NumericalContractViolation,
     _clamp_unit,
+    _lqu_given_sqrt,
     correlation_matrix,
     local_observable,
     lqu_all,
@@ -266,10 +267,13 @@ def test_variational_argument_errors():
 # --- clamping policy --------------------------------------------------------
 
 def test_clamp_snaps_rounding_but_raises_on_real_excursions():
-    assert _clamp_unit(-5e-10, "q") == 0.0
-    assert _clamp_unit(1.0 + 5e-10, "q") == 1.0
-    assert _clamp_unit(0.5, "q") == 0.5
-    with pytest.raises(NumericalContractViolation):
-        _clamp_unit(-2e-9, "q")
-    with pytest.raises(NumericalContractViolation):
-        _clamp_unit(1.1, "q")
+    assert _clamp_unit(-5e-10) == 0.0
+    assert _clamp_unit(1.0 + 5e-10) == 1.0
+    assert _clamp_unit(0.5) == 0.5
+    # Real excursions are caught by the correlation range check before any
+    # clamping. sqrt(rho) = 2 I gives m = 4 I (largest eigenvalue above 1);
+    # the non-PSD 0.1 X on qubit 0 gives m = diag(0.08, -0.08, -0.08).
+    x0 = np.kron(PAULI["x"], np.eye(4))
+    for bad_sqrt in (2 * np.eye(8), 0.1 * x0):
+        with pytest.raises(NumericalContractViolation):
+            _lqu_given_sqrt(bad_sqrt, 3, 0)

@@ -1,0 +1,52 @@
+"""Byte-identity gate: CLI outputs must match the checked-in golden files.
+
+The files under tests/golden/ were written by the command lines below. A
+change that alters any output byte (a digit of a value, a line ending, the
+JSON dump's float repr) fails here; regenerate the files only for an
+intended change of output.
+"""
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from lqu import cli
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+SWEEPS = {
+    "sweep_ghz3.csv": ("ghz3", "0", "1", "11"),
+    "sweep_w4.csv": ("w4", "0", "1", "11"),
+    "sweep_kay.csv": ("kay", "2", "10", "9"),
+}
+
+
+def stdout_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_matches_golden(tmp_path, name):
+    family, lo, hi, steps = SWEEPS[name]
+    out = tmp_path / name
+    stdout_of(["sweep", "--family", family, "--from", lo, "--to", hi,
+               "--steps", steps, "--out", str(out)])
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_random_report_and_dump_match_golden(tmp_path):
+    dump = tmp_path / "dump.json"
+    report = stdout_of(["random", "--qubits", "5", "--seed", "7",
+                        "--pure-fraction", "0.6", "--dump", str(dump)])
+    assert report == (GOLDEN / "random_q5_s7.txt").read_bytes()
+    assert dump.read_bytes() == (GOLDEN / "random_q5_s7.json").read_bytes()
+
+
+def test_compute_of_golden_dump_matches_golden():
+    report = stdout_of(["compute", str(GOLDEN / "random_q5_s7.json")])
+    assert report == (GOLDEN / "compute_q5_s7.txt").read_bytes()

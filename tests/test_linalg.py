@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqu.linalg import (
+    HERMITICITY_TOL,
+    PSD_TOL,
     DimensionMismatch,
     NoConvergence,
     NotHermitian,
@@ -53,10 +55,12 @@ def test_eig_rejects_non_hermitian():
 
 
 def test_eig_tolerance_is_respected():
-    m = np.array([[1.0, 1e-12], [0.0, 1.0]], dtype=complex)
-    hermitian_eig(m, tol=1e-10)  # inside tolerance
+    def with_defect(defect):
+        return np.array([[1.0, defect], [0.0, 1.0]], dtype=complex)
+
+    hermitian_eig(with_defect(0.5 * HERMITICITY_TOL))  # inside tolerance
     with pytest.raises(NotHermitian):
-        hermitian_eig(m, tol=1e-14)
+        hermitian_eig(with_defect(2 * HERMITICITY_TOL))
 
 
 def test_eig_maps_solver_failure_to_no_convergence(monkeypatch):
@@ -105,11 +109,11 @@ def test_sqrt_projector_is_idempotent():
 
 
 def test_sqrt_clamps_rounding_dirt_but_rejects_real_negativity():
-    near = np.diag([1.0, -1e-9])
+    near = np.diag([1.0, -0.5 * PSD_TOL])
     got = matrix_sqrt_psd(near)
     np.testing.assert_allclose(got, np.diag([1.0, 0.0]), atol=1e-12)
     with pytest.raises(NotPositiveSemidefinite):
-        matrix_sqrt_psd(np.diag([1.0, -1e-4]))
+        matrix_sqrt_psd(np.diag([1.0, -2 * PSD_TOL]))
 
 
 @settings(max_examples=50, deadline=None)
