@@ -189,6 +189,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # the package's input errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy names the failed allocation; a bare one is empty
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

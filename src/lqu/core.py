@@ -21,9 +21,7 @@ from .linalg import (
     DimensionMismatch,
     as_square_complex,
     hermiticity_defect,
-    kron,
     require_hermitian,
-    trace_product,
 )
 from .states import DensityMatrix, gaussian_reals
 
@@ -85,7 +83,7 @@ def local_observable(n_qubits: int, qubit_index: int, pauli_index: int) -> np.nd
         raise IndexOutOfRange(f"pauli_index must be 1, 2 or 3, got {pauli_index}")
     factors = [IDENTITY_2] * n_qubits
     factors[qubit_index] = PAULIS[pauli_index]
-    return reduce(kron, factors)
+    return reduce(np.kron, factors)
 
 
 def _check_qubit(rho: DensityMatrix, qubit_index: int) -> None:
@@ -133,11 +131,13 @@ def _correlation_given_sqrt(
 ) -> tuple[CorrelationMatrix3, float]:
     """The correlation matrix and its largest eigenvalue, after checking that
     its eigenvalues lie in [0, 1] up to RANGE_TOL."""
-    obs = [local_observable(n_qubits, qubit_index, p) for p in (1, 2, 3)]
+    # Tr[S s_i S s_j] = sum_ab (S s_i)_ab (S s_j)_ba, so three products serve
+    # all six entries.
+    prods = [sqrt_m @ local_observable(n_qubits, qubit_index, p) for p in (1, 2, 3)]
     m = np.zeros((3, 3))
     for i in range(3):
         for j in range(i, 3):  # lower triangle follows by symmetry of the trace
-            t = trace_product(sqrt_m, obs[i], sqrt_m, obs[j])
+            t = complex((prods[i] * prods[j].T).sum())
             if abs(t.imag) > IMAG_TOL:
                 raise NumericalContractViolation(
                     f"correlation entry ({i},{j}) has imaginary residue "

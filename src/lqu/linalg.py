@@ -44,19 +44,6 @@ class DimensionMismatch(ValueError):
 
 
 @dataclass(frozen=True)
-class HermitianEigenSystem:
-    """Eigendecomposition of a Hermitian matrix.
-
-    eigenvalues are real and sorted ascending; eigenvectors holds the
-    matching orthonormal eigenvectors as columns, so that
-    V @ diag(w) @ V.conj().T reconstructs the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """What the package reads from one eigendecomposition of a matrix.
 
@@ -106,25 +93,6 @@ def require_hermitian(defect: float, name: str = "matrix") -> None:
         )
 
 
-def _eigh_hermitian_part(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Work on the exactly-Hermitian part so LAPACK sees clean input.
-    try:
-        return np.linalg.eigh((a + a.conj().T) / 2)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
-
-
-def hermitian_eig(m) -> HermitianEigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Raises NotHermitian beyond HERMITICITY_TOL, and NoConvergence if the
-    underlying iteration fails (only possible for pathological input).
-    """
-    a = as_square_complex(m)
-    require_hermitian(hermiticity_defect(a))
-    return HermitianEigenSystem(*_eigh_hermitian_part(a))
-
-
 def spectrum(m) -> Spectrum:
     """Hermiticity defect, eigenvalues and square root from one eigh.
 
@@ -135,35 +103,10 @@ def spectrum(m) -> Spectrum:
     would amplify +1e-16 to 1e-8.
     """
     a = as_square_complex(m)
-    w, v = _eigh_hermitian_part(a)
+    try:  # on the exactly-Hermitian part, so LAPACK sees clean input
+        w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
     floor = w.shape[0] * np.finfo(float).eps * np.abs(w).max(initial=0.0)
     root = (v * np.sqrt(np.where(w > floor, w, 0.0))) @ v.conj().T
     return Spectrum(hermiticity_defect(a), w, (root + root.conj().T) / 2)
-
-
-def matrix_sqrt_psd(m) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix; see Spectrum.sqrt."""
-    return spectrum(m).sqrt()
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, result dimension dim(a) * dim(b)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def trace_product(a, b, c, d) -> complex:
-    """Tr(a b c d) for four same-dimension square matrices.
-
-    Uses Tr(XY) = sum_ij X_ij Y_ji with X = ab, Y = cd, so the four-matrix
-    product is never materialized.
-    """
-    mats = [as_square_complex(x, n) for x, n in zip((a, b, c, d), "abcd")]
-    dim = mats[0].shape[0]
-    for name, x in zip("bcd", mats[1:]):
-        if x.shape[0] != dim:
-            raise DimensionMismatch(
-                f"operand {name} has dimension {x.shape[0]}, expected {dim}"
-            )
-    x = mats[0] @ mats[1]
-    y = mats[2] @ mats[3]
-    return complex((x * y.T).sum())

@@ -16,6 +16,11 @@ import numpy as np
 
 from .linalg import HERMITICITY_TOL, PSD_TOL, TRACE_TOL, Spectrum, spectrum
 
+# Largest qubit count the parser and random_pure accept, checked before
+# anything of size 2^N is allocated. One complex d x d matrix takes
+# 16 * 4^N bytes (256 MiB at N = 12) and the dense path holds about ten.
+MAX_QUBITS = 12
+
 
 class UnknownFamily(ValueError):
     """Requested state family is not defined."""
@@ -216,8 +221,8 @@ def random_pure(n_qubits: int, seed: int) -> PureState:
 
     Deterministic for a given seed (PCG64 bit stream + Box-Muller).
     """
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
     rng = np.random.Generator(np.random.PCG64(seed))
     dim = 2**n_qubits
     reals = gaussian_reals(rng, 2 * dim)
@@ -277,7 +282,12 @@ def _entry(value, row: int, col: int) -> complex:
         raise DensityMatrixFormatError(
             f"matrix[{row}][{col}] must be a [re, im] pair of numbers, got {value!r}"
         )
-    re, im = float(value[0]), float(value[1])
+    try:
+        re, im = float(value[0]), float(value[1])
+    except OverflowError:  # an integer beyond the float range
+        raise DensityMatrixFormatError(
+            f"matrix[{row}][{col}] has a component outside the float range"
+        ) from None
     if not (math.isfinite(re) and math.isfinite(im)):
         raise DensityMatrixFormatError(
             f"matrix[{row}][{col}] has a non-finite component: [{re}, {im}]"
@@ -302,6 +312,8 @@ def density_matrix_from_json(text: str) -> DensityMatrix:
     n = doc["n_qubits"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DensityMatrixFormatError(f"n_qubits must be a positive integer, got {n!r}")
+    if n > MAX_QUBITS:
+        raise DensityMatrixFormatError(f"n_qubits {n} exceeds the limit of {MAX_QUBITS}")
     dim = 2**n
     rows = doc["matrix"]
     if not isinstance(rows, list) or len(rows) != dim:

@@ -257,3 +257,47 @@ def test_sweep_bad_output_path_exits_2_before_any_work(tmp_path, capsys, monkeyp
     assert len(err.splitlines()) == 1
     assert calls == []
     assert tmp_path.is_dir() and list(tmp_path.iterdir()) == []
+
+
+def test_compute_integer_beyond_float_range_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n_qubits": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1%s, 0]]]}'
+                    % ("0" * 400))
+    code, out, err = run(capsys, "compute", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "matrix[1][1]" in err
+
+
+@pytest.mark.parametrize("command", ["random", "sweep"])
+def test_qubit_limit_is_checked_before_drawing_amplitudes(tmp_path, capsys, monkeypatch,
+                                                          command):
+    def fail(*_):
+        raise AssertionError("amplitudes drawn beyond the qubit limit")
+
+    monkeypatch.setattr(lqu.states, "gaussian_reals", fail)
+    argv = {
+        "random": ["random", "--pure-fraction", "0.5"],
+        "sweep": ["sweep", "--family", "random", "--from", "0", "--to", "1", "--steps", "2",
+                  "--out", str(tmp_path / "r.csv")],
+    }[command]
+    code, out, err = run(capsys, *argv, "--qubits", str(lqu.states.MAX_QUBITS + 1),
+                         "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "n_qubits" in err
+
+
+def test_memory_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    path = write_state(tmp_path, lqu.DensityMatrix(3, np.eye(8) / 8))
+
+    def fail(_):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "lqu_all", fail)
+    code, out, err = run(capsys, "compute", path)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: out of memory"]

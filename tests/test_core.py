@@ -16,7 +16,7 @@ from lqu.core import (
     lqu_variational,
     skew_information,
 )
-from lqu.linalg import DimensionMismatch, NotHermitian, kron
+from lqu.linalg import DimensionMismatch, NotHermitian
 from lqu.states import DensityMatrix, mix_white_noise, pure_state, random_pure
 
 from helpers import PAULI, bloch_vector, haar_unitary, random_density, rng_for
@@ -144,6 +144,33 @@ def test_pure_state_correlation_is_bloch_outer_product(seed):
         )
 
 
+@pytest.mark.parametrize("rank", ["1", "2", "d"])
+@pytest.mark.parametrize("n_qubits", [2, 3, 4, 5, 6])
+def test_correlation_matches_block_gram_partial_trace(n_qubits, rank):
+    # rho = U diag(p) U^dagger with a known spectrum, so S = sqrt(rho) needs no
+    # eigensolver. With qubit k an explicit index, S splits into blocks S_pq
+    # over the other qubits; G[p,q,r,s] = Tr[S_pq S_rs] and
+    # m_ij = sum sigma_i[q,r] sigma_j[s,p] G[p,q,r,s].
+    d = 2**n_qubits
+    r = {"1": 1, "2": 2, "d": d}[rank]
+    seed = 10 * n_qubits + r
+    u = haar_unitary(seed, d)
+    p = np.zeros(d)
+    p[:r] = rng_for(seed).uniform(0.1, 1.0, r)
+    p /= p.sum()
+    rho = dm((u * p) @ u.conj().T, n_qubits)
+    s = (u * np.sqrt(p)) @ u.conj().T
+    sigma = np.stack([PAULI[a] for a in "xyz"])
+    for k in range(n_qubits):
+        blocks = s.reshape(2**k, 2, 2 ** (n_qubits - k - 1), 2**k, 2, -1)
+        gram = np.einsum("apbcqe,creasb->pqrs", blocks, blocks)
+        expected = np.einsum("iqr,jsp,pqrs->ij", sigma, sigma, gram)
+        assert np.abs(expected.imag).max() < 1e-12
+        np.testing.assert_allclose(
+            correlation_matrix(rho, k).entries, expected.real, rtol=0, atol=1e-12
+        )
+
+
 # --- the bridge between the two routes --------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -171,7 +198,7 @@ def test_lqu_pure_ghz3_is_one_and_full_noise_is_zero():
 @given(seed=seeds)
 def test_lqu_vanishes_on_product_of_pure_qubit_with_anything(seed):
     rho_b = random_density(seed, 4)
-    m = kron(np.diag([1.0, 0.0]), rho_b)
+    m = np.kron(np.diag([1.0, 0.0]), rho_b)
     assert lqu_bipartition(dm(m, 3), 0) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -207,7 +234,7 @@ def test_lqu_range_on_random_states(seed):
 @given(seed=seeds)
 def test_local_unitary_invariance(seed):
     rho = random_noisy_state(seed)
-    u = kron(kron(haar_unitary(seed + 1), haar_unitary(seed + 2)), haar_unitary(seed + 3))
+    u = np.kron(np.kron(haar_unitary(seed + 1), haar_unitary(seed + 2)), haar_unitary(seed + 3))
     rotated = dm(u @ rho.matrix @ u.conj().T, 3)
     a = lqu_all(rho).per_bipartition
     b = lqu_all(rotated).per_bipartition

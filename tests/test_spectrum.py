@@ -5,6 +5,7 @@ import pytest
 
 import lqu
 from lqu import cli
+from lqu.linalg import spectrum
 
 from helpers import random_density
 
@@ -54,7 +55,7 @@ def test_every_consumer_reads_the_shared_spectrum(dense_eigs):
 def test_shared_sqrt_matches_matrix_sqrt_psd():
     m = random_density(8, 16)
     rho = lqu.DensityMatrix(4, m)
-    np.testing.assert_array_equal(rho.spectrum.sqrt(), lqu.matrix_sqrt_psd(m))
+    np.testing.assert_array_equal(rho.spectrum.sqrt(), spectrum(m).sqrt())
 
 
 def test_stored_matrix_is_a_read_only_copy():

@@ -235,6 +235,13 @@ def test_json_rejects_malformed_document_with_byte_offset():
         ('{"n_qubits": 1, "matrix": [[[1,0],[0,0]],[[0,0],[0]]]}', r"matrix\[1\]\[1\]"),
         ('{"n_qubits": 1, "matrix": [[[1,0],[0,0]],[[0,0],[0,"x"]]]}', r"matrix\[1\]\[1\]"),
         ('{"n_qubits": 1, "matrix": [[[1,0],[0,0]],[[0,0],[0,NaN]]]}', "non-finite"),
+        pytest.param(
+            '{"n_qubits": 1, "matrix": [[[1,0],[0,0]],[[0,0],[1%s,0]]]}' % ("0" * 400),
+            r"matrix\[1\]\[1\]", id="integer-beyond-float-range",
+        ),
+        pytest.param('{"n_qubits": 13, "matrix": []}', "n_qubits 13 exceeds", id="13-qubits"),
+        pytest.param('{"n_qubits": 100000, "matrix": []}', "n_qubits 100000 exceeds",
+                     id="100000-qubits"),
     ],
 )
 def test_json_rejects_bad_shapes_with_position(doc, fragment):
