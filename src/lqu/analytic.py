@@ -51,11 +51,15 @@ def lqu_w3(beta: float) -> float:
 
 
 def lqu_kay(gamma: float) -> float:
-    """Kay family, gamma >= 2 (the expression is complex below that)."""
+    """Kay family, gamma >= 2 (the expression is complex below that).
+
+    The paper's (2 + g - sqrt((g - 2)(g + 6))) / (4 (1 + g)), rationalised:
+    that numerator cancels to about 2/g and keeps no correct digit by
+    g ~ 1e9.
+    """
     _require(gamma >= 2.0, f"gamma = {gamma} below 2")
-    return (2.0 + gamma - math.sqrt((gamma - 2.0) * (6.0 + gamma))) / (
-        4.0 * (1.0 + gamma)
-    )
+    root = math.sqrt(gamma - 2.0) * math.sqrt(gamma + 6.0)
+    return 4.0 / ((1.0 + gamma) * (2.0 + gamma + root))
 
 
 def lqu_ghz4_class(eta: float) -> float:

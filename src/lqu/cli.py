@@ -16,7 +16,6 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .core import LquReport, NumericalContractViolation, lqu_all
 from .linalg import NoConvergence
 from .states import (
     FAMILY_NAMES,
-    StateSpec,
     build_state,
     load_density_matrix,
     mix_white_noise,
@@ -40,30 +38,24 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    spec: StateSpec
-    param_from: float
-    param_to: float
-    steps: int
-    output_path: str
-
-    def check(self) -> None:
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
-        if self.param_from > self.param_to:
+def _check_sweep(args) -> None:
+    """Reject a sweep's arguments before --out is opened or anything computed."""
+    if args.family == "random" and (args.qubits is None or args.seed is None):
+        raise ValueError("--family random requires --qubits and --seed")
+    if args.steps < 2:
+        raise ValueError(f"steps must be >= 2, got {args.steps}")
+    if args.param_from > args.param_to:
+        raise ValueError(
+            f"--from ({args.param_from}) must not exceed --to ({args.param_to})"
+        )
+    lo, hi = (2.0, np.inf) if args.family == "kay" else (0.0, 1.0)
+    for name, p in (("--from", args.param_from), ("--to", args.param_to)):
+        if not math.isfinite(p):
+            raise ValueError(f"{name} = {p} is not a finite number")
+        if not lo <= p <= hi:
             raise ValueError(
-                f"--from ({self.param_from}) must not exceed --to ({self.param_to})"
+                f"{name} = {p} outside the {args.family!r} domain [{lo}, {hi}]"
             )
-        lo, hi = (2.0, np.inf) if self.spec.family == "kay" else (0.0, 1.0)
-        for name, p in (("--from", self.param_from), ("--to", self.param_to)):
-            if not math.isfinite(p):
-                raise ValueError(f"{name} = {p} is not a finite number")
-            if not lo <= p <= hi:
-                raise ValueError(
-                    f"{name} = {p} outside the {self.spec.family!r} domain "
-                    f"[{lo}, {hi}]"
-                )
 
 
 def _report_lines(report: LquReport) -> list[str]:
@@ -85,19 +77,16 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def sweep_rows(config: SweepConfig) -> tuple[list[str], list[list[str]]]:
-    """Evaluate a sweep; returns (header, rows) ready for CSV writing."""
-    config.check()
-    spec = config.spec
+def sweep_rows(args) -> tuple[list[str], list[list[str]]]:
+    """Evaluate the sweep the parsed arguments describe; returns (header,
+    rows) ready for CSV writing."""
     # np.linspace pins both endpoints exactly; interior points are uniform.
-    params = np.linspace(config.param_from, config.param_to, config.steps)
-    formula = closed_form_for(spec.family)
+    params = np.linspace(args.param_from, args.param_to, args.steps)
+    formula = closed_form_for(args.family)
     rows: list[list[str]] = []
-    n_qubits = None
     for p in params:
         p = float(p)
-        rho = build_state(StateSpec(spec.family, p, spec.n_qubits, spec.seed))
-        n_qubits = rho.n_qubits
+        rho = build_state(args.family, p, args.qubits, args.seed)
         report = lqu_all(rho)
         analytic = _fmt(formula(p)) if formula is not None else ""
         rows.append(
@@ -105,27 +94,22 @@ def sweep_rows(config: SweepConfig) -> tuple[list[str], list[list[str]]]:
             + [_fmt(v) for v in report.per_bipartition]
             + [_fmt(report.mean), analytic]
         )
-    header = ["param"] + [f"q{i}" for i in range(n_qubits)] + ["mean", "analytic"]
+    header = ["param"] + [f"q{i}" for i in range(rho.n_qubits)] + ["mean", "analytic"]
     return header, rows
 
 
 def cmd_sweep(args) -> int:
-    if args.family == "random" and (args.qubits is None or args.seed is None):
-        print("error: --family random requires --qubits and --seed", file=sys.stderr)
-        return 2
-    spec = StateSpec(args.family, args.param_from, args.qubits, args.seed)
-    config = SweepConfig(spec, args.param_from, args.param_to, args.steps, args.out)
-    config.check()
+    _check_sweep(args)
     # Open before computing, so a bad path fails before any work is done.
-    fh = open(config.output_path, "w", encoding="utf-8", newline="")
+    fh = open(args.out, "w", encoding="utf-8", newline="")
     try:
         with fh:
-            header, rows = sweep_rows(config)
+            header, rows = sweep_rows(args)
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
     except BaseException:
-        os.remove(config.output_path)  # never leave a partial file behind
+        os.remove(args.out)  # never leave a partial file behind
         raise
     return 0
 

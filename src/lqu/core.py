@@ -42,31 +42,20 @@ class NumericalContractViolation(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class CorrelationMatrix3:
-    """Real symmetric 3x3 Pauli correlation matrix for one measured qubit."""
-
-    measured_qubit: int
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
 class LquReport:
     """Per-bipartition local quantum uncertainties plus their mean.
 
     per_bipartition is indexed by measured qubit. The mean is the headline
-    aggregate; min/max are available for callers who prefer them.
+    aggregate.
     """
 
     per_bipartition: tuple[float, ...]
     mean: float
 
-    @property
-    def min_value(self) -> float:
-        return min(self.per_bipartition)
 
-    @property
-    def max_value(self) -> float:
-        return max(self.per_bipartition)
+def _check_qubit(n_qubits: int, qubit_index: int) -> None:
+    if not 0 <= qubit_index < n_qubits:
+        raise IndexOutOfRange(f"qubit_index {qubit_index} outside [0, {n_qubits})")
 
 
 def local_observable(n_qubits: int, qubit_index: int, pauli_index: int) -> np.ndarray:
@@ -75,22 +64,12 @@ def local_observable(n_qubits: int, qubit_index: int, pauli_index: int) -> np.nd
     pauli_index is 1, 2, 3 for sigma_x, sigma_y, sigma_z. Qubit 0 is the
     most significant bit (leftmost tensor factor).
     """
-    if not 0 <= qubit_index < n_qubits:
-        raise IndexOutOfRange(
-            f"qubit_index {qubit_index} outside [0, {n_qubits})"
-        )
+    _check_qubit(n_qubits, qubit_index)
     if pauli_index not in PAULIS:
         raise IndexOutOfRange(f"pauli_index must be 1, 2 or 3, got {pauli_index}")
     factors = [IDENTITY_2] * n_qubits
     factors[qubit_index] = PAULIS[pauli_index]
     return reduce(np.kron, factors)
-
-
-def _check_qubit(rho: DensityMatrix, qubit_index: int) -> None:
-    if not 0 <= qubit_index < rho.n_qubits:
-        raise IndexOutOfRange(
-            f"qubit_index {qubit_index} outside [0, {rho.n_qubits})"
-        )
 
 
 def _check_observable(rho: DensityMatrix, k) -> np.ndarray:
@@ -128,7 +107,7 @@ def skew_information(rho: DensityMatrix, k) -> float:
 
 def _correlation_given_sqrt(
     sqrt_m: np.ndarray, n_qubits: int, qubit_index: int
-) -> tuple[CorrelationMatrix3, float]:
+) -> tuple[np.ndarray, float]:
     """The correlation matrix and its largest eigenvalue, after checking that
     its eigenvalues lie in [0, 1] up to RANGE_TOL."""
     # Tr[S s_i S s_j] = sum_ab (S s_i)_ab (S s_j)_ba, so three products serve
@@ -150,16 +129,17 @@ def _correlation_given_sqrt(
             f"correlation matrix eigenvalues [{w[0]:.3e}, {w[-1]:.3e}] "
             f"escape [0, 1] beyond {RANGE_TOL:.0e}"
         )
-    return CorrelationMatrix3(measured_qubit=qubit_index, entries=m), float(w[-1])
+    return m, float(w[-1])
 
 
-def correlation_matrix(rho: DensityMatrix, qubit_index: int) -> CorrelationMatrix3:
-    """The 3x3 Pauli correlation matrix for measurements on one qubit.
+def correlation_matrix(rho: DensityMatrix, qubit_index: int) -> np.ndarray:
+    """The real symmetric 3x3 Pauli correlation matrix for measurements on
+    one qubit.
 
     The state's shared sqrt(rho) is reused across all entries (six
     computed, three mirrored).
     """
-    _check_qubit(rho, qubit_index)
+    _check_qubit(rho.n_qubits, qubit_index)
     return _correlation_given_sqrt(rho.spectrum.sqrt(), rho.n_qubits, qubit_index)[0]
 
 
@@ -181,7 +161,7 @@ def lqu_bipartition(rho: DensityMatrix, qubit_index: int) -> float:
     noiseless GHZ families, 0 for the maximally mixed and for any product
     of a pure qubit with the rest.
     """
-    _check_qubit(rho, qubit_index)
+    _check_qubit(rho.n_qubits, qubit_index)
     return _lqu_given_sqrt(rho.spectrum.sqrt(), rho.n_qubits, qubit_index)
 
 
@@ -207,7 +187,7 @@ def lqu_variational(rho: DensityMatrix, qubit_index: int, n_samples: int, seed: 
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    _check_qubit(rho, qubit_index)
+    _check_qubit(rho.n_qubits, qubit_index)
     rng = np.random.Generator(np.random.PCG64(seed))
     directions = gaussian_reals(rng, 3 * n_samples).reshape(n_samples, 3)
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)

@@ -81,8 +81,9 @@ def as_square_complex(m, name: str = "matrix") -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation |m - m^dagger|."""
-    return float(np.abs(m - m.conj().T).max())
+    """Largest entrywise deviation |m - m^dagger|; inf when it overflows."""
+    with np.errstate(over="ignore"):  # finite entries near the float maximum
+        return float(np.abs(m - m.conj().T).max())
 
 
 def require_hermitian(defect: float, name: str = "matrix") -> None:
@@ -103,8 +104,9 @@ def spectrum(m) -> Spectrum:
     would amplify +1e-16 to 1e-8.
     """
     a = as_square_complex(m)
-    try:  # on the exactly-Hermitian part, so LAPACK sees clean input
-        w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    try:  # on the exactly-Hermitian part, so LAPACK sees clean input; halving
+        # first is exact for normal floats and cannot overflow
+        w, v = np.linalg.eigh(a / 2 + a.conj().T / 2)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
     floor = w.shape[0] * np.finfo(float).eps * np.abs(w).max(initial=0.0)

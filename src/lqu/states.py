@@ -16,9 +16,9 @@ import numpy as np
 
 from .linalg import HERMITICITY_TOL, PSD_TOL, TRACE_TOL, Spectrum, spectrum
 
-# Largest qubit count the parser and random_pure accept, checked before
-# anything of size 2^N is allocated. One complex d x d matrix takes
-# 16 * 4^N bytes (256 MiB at N = 12) and the dense path holds about ten.
+# Largest qubit count the parser, random_pure and mix_white_noise accept,
+# checked before anything of size 2^N is allocated. One complex d x d matrix
+# takes 16 * 4^N bytes (256 MiB at N = 12) and the dense path holds about ten.
 MAX_QUBITS = 12
 
 
@@ -36,33 +36,6 @@ class GammaOutOfRange(ValueError):
 
 class DensityMatrixFormatError(ValueError):
     """Density-matrix file is malformed; message carries the position."""
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Normalized amplitude vector over the computational basis of N qubits."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        object.__setattr__(self, "amplitudes", amps)
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
-        if amps.shape[0] != 2**self.n_qubits:
-            raise ValueError(
-                f"amplitude vector has length {amps.shape[0]}, "
-                f"expected {2**self.n_qubits} for {self.n_qubits} qubits"
-            )
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
-    def projector(self) -> np.ndarray:
-        """Outer product |psi><psi| (Hermitian by construction)."""
-        return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
 @dataclass(frozen=True)
@@ -113,21 +86,6 @@ class Violation:
         return f"{self.kind}({self.magnitude:.3e})"
 
 
-@dataclass(frozen=True)
-class StateSpec:
-    """Named family plus parameter: the unit of work for the CLI.
-
-    param is the white-noise fraction for the noise-mixed families and the
-    gamma parameter for the Kay family. n_qubits and seed apply to the
-    'random' family only.
-    """
-
-    family: str
-    param: float
-    n_qubits: int | None = None
-    seed: int | None = None
-
-
 # family name -> (qubit count, [(basis index, amplitude), ...])
 _SQ6 = math.sqrt(6.0)
 PURE_FAMILIES: dict[str, tuple[int, list[tuple[int, float]]]] = {
@@ -148,32 +106,38 @@ PURE_FAMILIES: dict[str, tuple[int, list[tuple[int, float]]]] = {
 FAMILY_NAMES = tuple(PURE_FAMILIES) + ("kay", "random")
 
 
-def pure_state(family: str, n_qubits: int | None = None) -> PureState:
-    """Build one of the named pure families.
-
-    n_qubits is optional; when given it must match the family's qubit count.
-    """
+def pure_state(family: str) -> np.ndarray:
+    """Amplitude vector of one of the named pure families."""
     try:
         n, pattern = PURE_FAMILIES[family]
     except KeyError:
         raise UnknownFamily(
             f"unknown pure family {family!r}; choose from {sorted(PURE_FAMILIES)}"
         ) from None
-    if n_qubits is not None and n_qubits != n:
-        raise ValueError(f"family {family!r} has {n} qubits, not {n_qubits}")
     amps = np.zeros(2**n, dtype=complex)
     for idx, amp in pattern:
         amps[idx] = amp
-    return PureState(n_qubits=n, amplitudes=amps)
+    return amps
 
 
-def mix_white_noise(psi: PureState, noise: float) -> DensityMatrix:
-    """(1 - noise) |psi><psi| + noise * I / 2^N."""
+def mix_white_noise(amplitudes, noise: float) -> DensityMatrix:
+    """(1 - noise) |psi><psi| + noise * I / 2^N for the amplitude vector psi.
+
+    N is read from the vector's length, which must be 2^N with
+    1 <= N <= MAX_QUBITS.
+    """
     if not 0.0 <= noise <= 1.0:
         raise NoiseOutOfRange(f"noise fraction {noise} outside [0, 1]")
-    dim = psi.dim
-    m = (1.0 - noise) * psi.projector() + (noise / dim) * np.eye(dim)
-    return DensityMatrix(n_qubits=psi.n_qubits, matrix=m)
+    psi = np.asarray(amplitudes, dtype=complex)
+    dim = psi.size
+    n = dim.bit_length() - 1
+    if not (1 <= n <= MAX_QUBITS and dim == 2**n):
+        raise ValueError(
+            f"amplitude vector has length {dim}, "
+            f"expected 2^N with 1 <= N <= {MAX_QUBITS}"
+        )
+    m = (1.0 - noise) * np.outer(psi, psi.conj()) + (noise / dim) * np.eye(dim)
+    return DensityMatrix(n_qubits=n, matrix=m)
 
 
 def kay_state(gamma: float) -> DensityMatrix:
@@ -190,7 +154,14 @@ def kay_state(gamma: float) -> DensityMatrix:
     for i in range(8):
         m[i, i] = diag[i]
         m[i, 7 - i] = anti[i]
-    m /= 8 + 8 * g
+    with np.errstate(invalid="ignore"):  # gamma = inf gives inf / inf: caught below
+        m /= 8 + 8 * g
+    trace = np.trace(m).real
+    if not abs(trace - 1.0) <= TRACE_TOL:
+        raise GammaOutOfRange(
+            f"gamma = {gamma} gives trace {trace:.3e}, not 1: the normalisation "
+            f"8 + 8 gamma is finite only up to gamma = 2.2e307"
+        )
     rho = DensityMatrix(n_qubits=3, matrix=m)
     if rho.spectrum.eigenvalues[0] < -PSD_TOL:
         raise GammaOutOfRange(
@@ -216,7 +187,7 @@ def gaussian_reals(rng: np.random.Generator, n: int) -> np.ndarray:
     return out[:n]
 
 
-def random_pure(n_qubits: int, seed: int) -> PureState:
+def random_pure(n_qubits: int, seed: int) -> np.ndarray:
     """Haar-random pure state: normalized i.i.d. complex Gaussian amplitudes.
 
     Deterministic for a given seed (PCG64 bit stream + Box-Muller).
@@ -228,7 +199,7 @@ def random_pure(n_qubits: int, seed: int) -> PureState:
     reals = gaussian_reals(rng, 2 * dim)
     amps = reals[:dim] + 1j * reals[dim:]
     amps /= np.linalg.norm(amps)
-    return PureState(n_qubits=n_qubits, amplitudes=amps)
+    return amps
 
 
 def validate(rho: DensityMatrix) -> list[Violation]:
@@ -242,8 +213,9 @@ def validate(rho: DensityMatrix) -> list[Violation]:
     out: list[Violation] = []
     if spec.hermiticity_defect > HERMITICITY_TOL:
         out.append(Violation("HermiticityViolation", spec.hermiticity_defect))
-    trace_err = abs(complex(np.trace(rho.matrix)) - 1.0)
-    if trace_err > TRACE_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near the float maximum
+        trace_err = abs(complex(np.trace(rho.matrix)) - 1.0)
+    if not trace_err <= TRACE_TOL:  # an overflowed sum may be nan
         out.append(Violation("TraceViolation", trace_err))
     w0 = spec.eigenvalues[0]
     if w0 < -PSD_TOL:
@@ -251,20 +223,24 @@ def validate(rho: DensityMatrix) -> list[Violation]:
     return out
 
 
-def build_state(spec: StateSpec) -> DensityMatrix:
-    """Construct the density matrix a StateSpec describes."""
-    if spec.family == "kay":
-        return kay_state(spec.param)
-    if spec.family == "random":
-        if spec.n_qubits is None or spec.seed is None:
+def build_state(
+    family: str, param: float, n_qubits: int | None = None, seed: int | None = None
+) -> DensityMatrix:
+    """The density matrix of a named family at one parameter value.
+
+    param is the white-noise fraction for the noise-mixed families and the
+    gamma parameter for the Kay family. n_qubits and seed apply to the
+    'random' family only.
+    """
+    if family == "kay":
+        return kay_state(param)
+    if family == "random":
+        if n_qubits is None or seed is None:
             raise ValueError("random family needs n_qubits and seed")
-        psi = random_pure(spec.n_qubits, spec.seed)
-        return mix_white_noise(psi, spec.param)
-    if spec.family in PURE_FAMILIES:
-        return mix_white_noise(pure_state(spec.family), spec.param)
-    raise UnknownFamily(
-        f"unknown family {spec.family!r}; choose from {sorted(FAMILY_NAMES)}"
-    )
+        return mix_white_noise(random_pure(n_qubits, seed), param)
+    if family in PURE_FAMILIES:
+        return mix_white_noise(pure_state(family), param)
+    raise UnknownFamily(f"unknown family {family!r}; choose from {sorted(FAMILY_NAMES)}")
 
 
 # --- density-matrix JSON format -------------------------------------------
@@ -295,15 +271,24 @@ def _entry(value, row: int, col: int) -> complex:
     return complex(re, im)
 
 
+def _parse_int(digits: str):
+    try:
+        return int(digits)
+    except ValueError:  # beyond Python's digit limit for int(); the caller names it
+        return float(digits)
+
+
 def density_matrix_from_json(text: str) -> DensityMatrix:
     """Parse the JSON density-matrix format, with position-bearing errors."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise DensityMatrixFormatError(
             f"invalid JSON at byte offset {exc.pos} "
             f"(line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise DensityMatrixFormatError("JSON arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise DensityMatrixFormatError("top-level JSON value must be an object")
     if "n_qubits" not in doc or "matrix" not in doc:

@@ -58,7 +58,7 @@ def test_criterion_2_w3_oracle_match():
         beta = float(beta)
         got = lqu.lqu_bipartition(noisy("w3", beta), 0)
         assert abs(got - lqu.lqu_w3(beta)) <= 1e-8
-        eigs = np.linalg.eigvalsh(lqu.correlation_matrix(noisy("w3", beta), 0).entries)
+        eigs = np.linalg.eigvalsh(lqu.correlation_matrix(noisy("w3", beta), 0))
         w1, _, w3 = lqu.w3_correlation_eigenvalues(beta)
         assert abs(eigs[0] - eigs[1]) <= 1e-8  # degenerate pair
         assert abs(eigs[0] - w1) <= 1e-8

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -53,6 +54,18 @@ def test_kay_values():
 def test_kay_stays_positive_for_huge_gamma():
     for gamma in np.geomspace(2.0, 1e6, 60):
         assert lqu_kay(float(gamma)) > 0.0
+
+
+@pytest.mark.parametrize("gamma", [2.0, 3.0, 10.0, 1e4, 1e9, 1e100])
+def test_kay_matches_high_precision_reference(gamma):
+    # The paper's unrationalised expression, with enough digits to survive
+    # its cancellation (about 2 log10(gamma) of them) and 50 more.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 250
+        g = decimal.Decimal(gamma)
+        exact = (2 + g - ((g - 2) * (6 + g)).sqrt()) / (4 * (1 + g))
+        rel = abs((decimal.Decimal(lqu_kay(gamma)) - exact) / exact)
+    assert rel < 1e-12
 
 
 def test_ghz4_class_values():

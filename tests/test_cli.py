@@ -301,3 +301,33 @@ def test_memory_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["error: out of memory"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "matrix, violation",
+    [
+        ([[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]], "TraceViolation"),
+        ([[[0.5, 0], [1e308, 0]], [[-1e308, 0], [0.5, 0]]], "HermiticityViolation"),
+    ],
+    ids=["diagonal", "off-diagonal"],
+)
+def test_compute_entries_near_float_maximum_give_one_line(tmp_path, capsys, matrix,
+                                                           violation):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n_qubits": 1, "matrix": matrix}))
+    code, out, err = run(capsys, "compute", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert violation in err
+
+
+def test_sweep_kay_beyond_normalisation_range_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "kay.csv"
+    code, _, err = run(capsys, "sweep", "--family", "kay", "--from", "2", "--to", "1e308",
+                       "--steps", "3", "--out", str(out_path))
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "gamma" in err
+    assert not out_path.exists()

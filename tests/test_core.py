@@ -105,19 +105,19 @@ def test_skew_nonnegative_on_random_states(seed):
 
 def test_correlation_matrix_vanishes_for_pure_ghz():
     rho = mix_white_noise(pure_state("ghz3"), 0.0)
-    m = correlation_matrix(rho, 0).entries
+    m = correlation_matrix(rho, 0)
     np.testing.assert_allclose(m, np.zeros((3, 3)), atol=1e-10)
 
 
 def test_correlation_matrix_identity_for_maximally_mixed():
-    m = correlation_matrix(dm(np.eye(8) / 8, 3), 0).entries
+    m = correlation_matrix(dm(np.eye(8) / 8, 3), 0)
     np.testing.assert_allclose(m, np.eye(3), atol=1e-12)
 
 
 def test_correlation_matrix_product_state_bloch_z():
     # |0><0| on qubit A times I/4 on the rest occupies indices 0..3
     m = np.diag([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0]).astype(complex)
-    got = correlation_matrix(dm(m, 3), 0).entries
+    got = correlation_matrix(dm(m, 3), 0)
     np.testing.assert_allclose(got, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
 
 
@@ -126,7 +126,7 @@ def test_correlation_matrix_product_state_bloch_z():
 def test_correlation_matrix_is_symmetric_with_unit_range(seed):
     rho = random_noisy_state(seed)
     for q in range(3):
-        m = correlation_matrix(rho, q).entries
+        m = correlation_matrix(rho, q)
         np.testing.assert_allclose(m, m.T, atol=1e-10)
         w = np.linalg.eigvalsh(m)
         assert w[0] > -1e-9 and w[-1] < 1 + 1e-9
@@ -140,7 +140,7 @@ def test_pure_state_correlation_is_bloch_outer_product(seed):
     for q in range(3):
         b = bloch_vector(rho.matrix, 3, q)
         np.testing.assert_allclose(
-            correlation_matrix(rho, q).entries, np.outer(b, b), atol=1e-9
+            correlation_matrix(rho, q), np.outer(b, b), atol=1e-9
         )
 
 
@@ -167,7 +167,7 @@ def test_correlation_matches_block_gram_partial_trace(n_qubits, rank):
         expected = np.einsum("iqr,jsp,pqrs->ij", sigma, sigma, gram)
         assert np.abs(expected.imag).max() < 1e-12
         np.testing.assert_allclose(
-            correlation_matrix(rho, k).entries, expected.real, rtol=0, atol=1e-12
+            correlation_matrix(rho, k), expected.real, rtol=0, atol=1e-12
         )
 
 
@@ -183,7 +183,7 @@ def test_skew_equals_one_minus_quadratic_form(seed):
     n /= np.linalg.norm(n)
     for q in range(3):
         k = sum(n[i] * local_observable(3, q, i + 1) for i in range(3))
-        m = correlation_matrix(rho, q).entries
+        m = correlation_matrix(rho, q)
         assert skew_information(rho, k) == pytest.approx(1.0 - n @ m @ n, abs=1e-10)
 
 
@@ -206,7 +206,7 @@ def test_lqu_all_ghz3_half_noise():
     report = lqu_all(mix_white_noise(pure_state("ghz3"), 0.5))
     assert report.per_bipartition == pytest.approx((0.25, 0.25, 0.25), abs=1e-10)
     assert report.mean == pytest.approx(0.25, abs=1e-10)
-    assert report.min_value <= report.mean <= report.max_value
+    assert min(report.per_bipartition) <= report.mean <= max(report.per_bipartition)
 
 
 def test_lqu_all_maximally_mixed_four_qubits():

@@ -12,7 +12,6 @@ from lqu.states import (
     DensityMatrixFormatError,
     GammaOutOfRange,
     NoiseOutOfRange,
-    StateSpec,
     UnknownFamily,
     build_state,
     density_matrix_from_json,
@@ -47,17 +46,14 @@ EXPECTED_AMPLITUDES = {
 @pytest.mark.parametrize("family", sorted(PURE_FAMILIES))
 def test_pure_family_amplitudes(family):
     psi = pure_state(family)
-    expected = np.zeros(psi.dim, dtype=complex)
+    expected = np.zeros(len(psi), dtype=complex)
     for idx, amp in EXPECTED_AMPLITUDES[family].items():
         expected[idx] = amp
-    np.testing.assert_allclose(psi.amplitudes, expected, atol=1e-15)
-    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
+    np.testing.assert_allclose(psi, expected, atol=1e-15)
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
 
 def test_pure_state_qubit_count_must_match():
-    assert pure_state("ghz3", 3).n_qubits == 3
-    with pytest.raises(ValueError):
-        pure_state("ghz3", 4)
     with pytest.raises(UnknownFamily):
         pure_state("bell2")
 
@@ -65,7 +61,7 @@ def test_pure_state_qubit_count_must_match():
 def test_mix_zero_noise_is_projector():
     psi = pure_state("ghz3")
     rho = mix_white_noise(psi, 0.0)
-    np.testing.assert_allclose(rho.matrix, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    np.testing.assert_allclose(rho.matrix, np.outer(psi, psi.conj()))
 
 
 def test_mix_full_noise_is_maximally_mixed():
@@ -82,6 +78,14 @@ def test_mix_half_noise_ghz3_entries():
     )
     assert rho[0, 7] == pytest.approx(0.25)
     assert rho[7, 0] == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("length", [0, 1, 3, 6, 2**13])
+def test_mix_rejects_amplitude_length_not_power_of_two(length):
+    amplitudes = np.zeros(length, dtype=complex)
+    amplitudes[:1] = 1.0
+    with pytest.raises(ValueError, match=f"length {length}"):
+        mix_white_noise(amplitudes, 0.5)
 
 
 def test_mix_rejects_out_of_range_noise():
@@ -101,7 +105,7 @@ def test_mix_is_affine_in_the_spectrum(family, noise):
     rho = mix_white_noise(psi, noise)
     assert validate(rho) == []
     w = np.linalg.eigvalsh(rho.matrix)
-    expected = np.full(psi.dim, noise / psi.dim)
+    expected = np.full(len(psi), noise / len(psi))
     expected[-1] += 1.0 - noise
     np.testing.assert_allclose(np.sort(w), np.sort(expected), atol=1e-12)
 
@@ -118,6 +122,13 @@ def test_kay_entries_at_gamma_two():
 def test_kay_rejects_gamma_below_two():
     with pytest.raises(GammaOutOfRange):
         kay_state(1.9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gamma", [3e307, 1e308, math.inf, math.nan])
+def test_kay_rejects_gamma_whose_normalisation_overflows(gamma):
+    with pytest.raises(GammaOutOfRange, match="trace"):
+        kay_state(gamma)
 
 
 @settings(max_examples=30, deadline=None)
@@ -138,22 +149,22 @@ def test_random_pure_is_deterministic():
         0.28273544571708165 + 0.05108580505139126j,
         -0.14013345249107462 + 0.3547714527535997j,
     ])
-    got = random_pure(3, 42).amplitudes
+    got = random_pure(3, 42)
     np.testing.assert_allclose(got, expected, atol=1e-12)
-    np.testing.assert_array_equal(got, random_pure(3, 42).amplitudes)
+    np.testing.assert_array_equal(got, random_pure(3, 42))
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=seeds)
 def test_random_pure_is_normalized(seed):
     psi = random_pure(3, seed)
-    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
 
 def test_random_pure_haar_marginal():
     # |amplitude_0|^2 of a Haar state is Beta(1, 7): mean 1/8, var 7/576.
     n = 10_000
-    mean = np.mean([abs(random_pure(3, s).amplitudes[0]) ** 2 for s in range(n)])
+    mean = np.mean([abs(random_pure(3, s)[0]) ** 2 for s in range(n)])
     three_se = 3 * math.sqrt(7 / 576 / n)
     assert abs(mean - 0.125) < three_se
 
@@ -193,27 +204,28 @@ def test_validate_reports_hermiticity_violation():
 @pytest.mark.parametrize("family", sorted(PURE_FAMILIES))
 def test_reduced_single_qubit_states_are_diagonal(family):
     psi = pure_state(family)
-    proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    for q in range(psi.n_qubits):
-        red = reduced_single_qubit(proj, psi.n_qubits, q)
+    n_qubits = PURE_FAMILIES[family][0]
+    proj = np.outer(psi, psi.conj())
+    for q in range(n_qubits):
+        red = reduced_single_qubit(proj, n_qubits, q)
         assert abs(red[0, 1]) < 1e-14
         assert np.trace(red).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_build_state_covers_every_family():
-    assert build_state(StateSpec("ghz3", 0.3)).n_qubits == 3
-    assert build_state(StateSpec("kay", 2.5)).n_qubits == 3
-    rho = build_state(StateSpec("random", 0.2, n_qubits=4, seed=11))
+    assert build_state("ghz3", 0.3).n_qubits == 3
+    assert build_state("kay", 2.5).n_qubits == 3
+    rho = build_state("random", 0.2, n_qubits=4, seed=11)
     assert rho.n_qubits == 4
     assert validate(rho) == []
     with pytest.raises(UnknownFamily):
-        build_state(StateSpec("nope", 0.1))
+        build_state("nope", 0.1)
     with pytest.raises(ValueError):
-        build_state(StateSpec("random", 0.1))  # missing n_qubits/seed
+        build_state("random", 0.1)  # missing n_qubits/seed
 
 
 def test_json_round_trip_is_exact():
-    rho = build_state(StateSpec("random", 0.37, n_qubits=3, seed=5))
+    rho = build_state("random", 0.37, n_qubits=3, seed=5)
     again = density_matrix_from_json(density_matrix_to_json(rho))
     assert again.n_qubits == 3
     np.testing.assert_array_equal(again.matrix, rho.matrix)
@@ -242,6 +254,14 @@ def test_json_rejects_malformed_document_with_byte_offset():
         pytest.param('{"n_qubits": 13, "matrix": []}', "n_qubits 13 exceeds", id="13-qubits"),
         pytest.param('{"n_qubits": 100000, "matrix": []}', "n_qubits 100000 exceeds",
                      id="100000-qubits"),
+        pytest.param(
+            '{"n_qubits": 1, "matrix": [[[1,0],[0,0]],[[0,0],[1%s,0]]]}' % ("0" * 5000),
+            r"matrix\[1\]\[1\]", id="5001-digit-entry",
+        ),
+        pytest.param('{"n_qubits": 1%s, "matrix": []}' % ("0" * 5000), "n_qubits",
+                     id="5001-digit-n_qubits"),
+        pytest.param('{"n_qubits": 1, "matrix": %s}' % ("[" * 100000 + "]" * 100000),
+                     "nested too deeply", id="deep-nesting"),
     ],
 )
 def test_json_rejects_bad_shapes_with_position(doc, fragment):
