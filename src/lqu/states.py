@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
@@ -249,7 +253,9 @@ def build_state(
 # 2^N rows of 2^N [re, im] pairs, row-major.
 
 
-def _entry(value, row: int, col: int) -> complex:
+def _entry(value, row: int, col: int) -> None:
+    """The one definition of a valid entry and of each entry diagnostic;
+    raises naming matrix[row][col]."""
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
@@ -268,7 +274,40 @@ def _entry(value, row: int, col: int) -> complex:
         raise DensityMatrixFormatError(
             f"matrix[{row}][{col}] has a non-finite component: [{re}, {im}]"
         )
-    return complex(re, im)
+
+
+def _raise_first_defect(rows: list, dim: int) -> NoReturn:
+    """Name the first malformed row or entry in row-major order."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            got = len(row) if isinstance(row, list) else type(row).__name__
+            raise DensityMatrixFormatError(
+                f"matrix row {i} must have {dim} entries, got {got}"
+            )
+        for j, value in enumerate(row):
+            _entry(value, i, j)
+    raise AssertionError("the bulk check rejected a matrix that _entry accepts")
+
+
+def _bulk_matrix(rows: list, dim: int) -> np.ndarray | None:
+    """The d x d complex matrix from the decoded rows in a few bulk passes, or
+    None if any row or entry is malformed. It accepts exactly what _entry does:
+    json.loads yields only exact int, float, bool, str, None, list and dict,
+    so type(x) in {int, float} is _entry's "number but not bool"."""
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {dim}:
+        return None
+    pairs = list(chain.from_iterable(rows))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    if not set(map(type, chain.from_iterable(pairs))) <= {int, float}:
+        return None
+    try:
+        a = np.fromiter(chain.from_iterable(pairs), float, count=2 * dim * dim)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not np.isfinite(a).all():
+        return None
+    return a.view(complex).reshape(dim, dim)
 
 
 def _parse_int(digits: str):
@@ -304,15 +343,9 @@ def density_matrix_from_json(text: str) -> DensityMatrix:
     if not isinstance(rows, list) or len(rows) != dim:
         got = len(rows) if isinstance(rows, list) else type(rows).__name__
         raise DensityMatrixFormatError(f"matrix must have {dim} rows, got {got}")
-    m = np.empty((dim, dim), dtype=complex)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            got = len(row) if isinstance(row, list) else type(row).__name__
-            raise DensityMatrixFormatError(
-                f"matrix row {i} must have {dim} entries, got {got}"
-            )
-        for j, value in enumerate(row):
-            m[i, j] = _entry(value, i, j)
+    m = _bulk_matrix(rows, dim)
+    if m is None:
+        _raise_first_defect(rows, dim)
     return DensityMatrix(n_qubits=n, matrix=m)
 
 
@@ -321,15 +354,33 @@ def load_density_matrix(path) -> DensityMatrix:
         return density_matrix_from_json(fh.read())
 
 
+def _json_pieces(rho: DensityMatrix) -> Iterator[str]:
+    """The document in pieces of one row each; joined, they are the bytes of
+    json.dumps({"n_qubits": N, "matrix": nested [re, im] lists})."""
+    yield f'{{"n_qubits": {json.dumps(rho.n_qubits)}, "matrix": ['
+    # A C-contiguous complex array viewed as floats is its [re, im] pairs.
+    pairs = np.ascontiguousarray(rho.matrix).view(float).reshape(rho.dim, rho.dim, 2)
+    for i, row in enumerate(pairs):
+        if i:
+            yield ", "
+        yield json.dumps(row.tolist())
+    yield "]}"
+
+
 def density_matrix_to_json(rho: DensityMatrix) -> str:
     """Serialize with full round-trip float precision."""
-    rows = [
-        [[float(z.real), float(z.imag)] for z in row] for row in rho.matrix
-    ]
-    return json.dumps({"n_qubits": rho.n_qubits, "matrix": rows})
+    return "".join(_json_pieces(rho))
 
 
 def save_density_matrix(rho: DensityMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(density_matrix_to_json(rho))
-        fh.write("\n")
+    """Write the JSON document one row at a time, so memory does not grow
+    with the document. A write that fails removes the partial file."""
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(_json_pieces(rho))
+            fh.write("\n")
+    except BaseException:
+        if os.path.isfile(path):  # never a device such as /dev/stdout
+            os.remove(path)
+        raise

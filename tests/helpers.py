@@ -1,8 +1,12 @@
-"""Shared test utilities: seeded random matrices and a partial-trace oracle.
+"""Shared test utilities: seeded random matrices, a partial-trace oracle and
+a per-entry reference parser for the density-matrix JSON format.
 
 Everything here is deliberately independent of the library internals so it
 can serve as an oracle for them.
 """
+
+import json
+import math
 
 import numpy as np
 
@@ -59,3 +63,70 @@ def reduced_single_qubit(matrix, n_qubits, keep):
 def bloch_vector(matrix, n_qubits, qubit):
     red = reduced_single_qubit(matrix, n_qubits, qubit)
     return np.array([np.trace(red @ PAULI[a]).real for a in "xyz"])
+
+
+def _reference_entry(value, row, col):
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+    ):
+        raise ValueError(
+            f"matrix[{row}][{col}] must be a [re, im] pair of numbers, got {value!r}"
+        )
+    try:
+        re, im = float(value[0]), float(value[1])
+    except OverflowError:
+        raise ValueError(
+            f"matrix[{row}][{col}] has a component outside the float range"
+        ) from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ValueError(
+            f"matrix[{row}][{col}] has a non-finite component: [{re}, {im}]"
+        )
+    return complex(re, im)
+
+
+def _reference_int(digits):
+    try:
+        return int(digits)
+    except ValueError:
+        return float(digits)
+
+
+def reference_density_matrix(text, max_qubits=12):
+    """The density-matrix JSON parser written as a loop over entries: the
+    matrix of a valid document, or a ValueError carrying the message the
+    library's parser must give."""
+    try:
+        doc = json.loads(text, parse_int=_reference_int)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"invalid JSON at byte offset {exc.pos} "
+            f"(line {exc.lineno}, column {exc.colno}): {exc.msg}"
+        ) from exc
+    except RecursionError:
+        raise ValueError("JSON arrays or objects nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise ValueError("top-level JSON value must be an object")
+    if "n_qubits" not in doc or "matrix" not in doc:
+        missing = {"n_qubits", "matrix"} - set(doc)
+        raise ValueError(f"missing required key(s): {sorted(missing)}")
+    n = doc["n_qubits"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n_qubits must be a positive integer, got {n!r}")
+    if n > max_qubits:
+        raise ValueError(f"n_qubits {n} exceeds the limit of {max_qubits}")
+    dim = 2**n
+    rows = doc["matrix"]
+    if not isinstance(rows, list) or len(rows) != dim:
+        got = len(rows) if isinstance(rows, list) else type(rows).__name__
+        raise ValueError(f"matrix must have {dim} rows, got {got}")
+    m = np.empty((dim, dim), dtype=complex)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            got = len(row) if isinstance(row, list) else type(row).__name__
+            raise ValueError(f"matrix row {i} must have {dim} entries, got {got}")
+        for j, value in enumerate(row):
+            m[i, j] = _reference_entry(value, i, j)
+    return m

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -214,6 +217,51 @@ def test_random_command_dump_round_trips(tmp_path, capsys):
     report = lqu.lqu_all(rho)
     printed = [float(line.split()[1]) for line in out.splitlines()[:3]]
     np.testing.assert_allclose(printed, report.per_bipartition, atol=1e-11)
+
+
+def test_random_dump_removes_partial_file_on_failure(tmp_path, capsys, monkeypatch):
+    dump = tmp_path / "dump.json"
+    real_dumps = json.dumps
+    rows_written = []
+
+    def dumps_failing_after_first_row(obj, *args, **kwargs):
+        if isinstance(obj, list):  # one matrix row
+            if rows_written:
+                raise OSError(28, "No space left on device")
+            rows_written.append(obj)
+        return real_dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(lqu.states.json, "dumps", dumps_failing_after_first_row)
+    code, _, err = run(capsys, "random", "--qubits", "3", "--seed", "11",
+                       "--pure-fraction", "0.8", "--dump", str(dump))
+    assert rows_written
+    assert code in (2, 3)
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not dump.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_random_dump_failing_on_a_pipe_keeps_the_pipe(tmp_path, capsys):
+    # The reader leaves after 10 bytes of a 3 MB dump, so the write fails
+    # with a broken pipe; only a regular file is removed after a failure.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def read_a_little():
+        with open(fifo, "rb") as fh:
+            fh.read(10)
+
+    reader = threading.Thread(target=read_a_little, daemon=True)
+    reader.start()
+    code, _, err = run(capsys, "random", "--qubits", "8", "--seed", "1",
+                       "--pure-fraction", "0.5", "--dump", str(fifo))
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 def test_random_command_rejects_bad_fraction(capsys):

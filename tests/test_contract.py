@@ -4,6 +4,9 @@ Every argv that argparse accepts, and every density-matrix document, must
 end in exit code 0, 2 or 3. Exit 0 writes nothing to stderr; 2 and 3 write
 exactly one line starting "error: ". A numpy RuntimeWarning counts as a
 breach, since it would print on stderr too.
+
+The same documents also check the bulk parser against the per-entry
+reference parser in helpers.py.
 """
 
 import contextlib
@@ -18,7 +21,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lqu import cli
-from lqu.states import FAMILY_NAMES
+from lqu.states import FAMILY_NAMES, DensityMatrixFormatError, density_matrix_from_json
+
+from helpers import reference_density_matrix
 
 # Stands in for an integer literal json.dumps refuses to write (more than
 # 4300 digits); replaced in the serialised text.
@@ -135,3 +140,22 @@ def test_every_input_exits_0_2_or_3_with_at_most_one_line(case):
         assert lines == []
     else:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=documents())
+@example(document='{"n_qubits": 1, "matrix": [[[1, 0], [0, "x"]], [[0, 0]]]}')
+@example(document='{"n_qubits": 1, "matrix": [[[1, 0], [0, 0]], 7]}')
+@example(document='{"n_qubits": 1, "matrix": [[[1, 0], [0, 1e999]], [[0, 0], [%s, 0]]]}'
+         % BIG_LITERAL)
+@example(document='{"n_qubits": 1, "matrix": [[[-0.0, 5e-324], [0, 0]], '
+         '[[0, 0], [9007199254740993, 1.7976931348623157e308]]]}')
+def test_parser_matches_per_entry_reference(document):
+    try:
+        expected = reference_density_matrix(document)
+    except ValueError as exc:
+        with pytest.raises(DensityMatrixFormatError) as got:
+            density_matrix_from_json(document)
+        assert str(got.value) == str(exc)
+    else:
+        assert density_matrix_from_json(document).matrix.tobytes() == expected.tobytes()

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import lqu
 from lqu.states import (
     PURE_FAMILIES,
+    DensityMatrix,
     DensityMatrixFormatError,
     GammaOutOfRange,
     NoiseOutOfRange,
@@ -226,9 +228,23 @@ def test_build_state_covers_every_family():
 
 def test_json_round_trip_is_exact():
     rho = build_state("random", 0.37, n_qubits=3, seed=5)
-    again = density_matrix_from_json(density_matrix_to_json(rho))
-    assert again.n_qubits == 3
-    np.testing.assert_array_equal(again.matrix, rho.matrix)
+    m = rho.matrix.copy()
+    # -0.0 keeps its sign; the least subnormal, the least normal and the
+    # largest double survive, on either component.
+    m[0, :4] = [-0.0, complex(5e-324, -0.0), complex(0.0, 2.2250738585072014e-308),
+                -1.7976931348623157e308]
+    m[1, 0] = complex(1.7976931348623157e308, -5e-324)
+    for state in (rho, DensityMatrix(n_qubits=3, matrix=m)):
+        text = density_matrix_to_json(state)
+        nested = [[[z.real, z.imag] for z in row] for row in state.matrix.tolist()]
+        assert text == json.dumps({"n_qubits": 3, "matrix": nested})
+        again = density_matrix_from_json(text)
+        assert again.n_qubits == 3
+        assert again.matrix.tobytes() == state.matrix.tobytes()
+    big = 2**53 + 1  # a JSON integer rounds as float() rounds it
+    doc = json.dumps({"n_qubits": 1, "matrix": [[[big, -big], [0, 0]], [[0, 0], [0, 0]]]})
+    z = density_matrix_from_json(doc).matrix[0, 0]
+    assert np.array([z.real, -z.imag]).tobytes() == np.array([float(big)] * 2).tobytes()
 
 
 def test_json_rejects_malformed_document_with_byte_offset():
@@ -247,6 +263,21 @@ def test_json_rejects_malformed_document_with_byte_offset():
         ('{"n_qubits": 1, "matrix": [[[1,0],[0,0]],[[0,0],[0]]]}', r"matrix\[1\]\[1\]"),
         ('{"n_qubits": 1, "matrix": [[[1,0],[0,0]],[[0,0],[0,"x"]]]}', r"matrix\[1\]\[1\]"),
         ('{"n_qubits": 1, "matrix": [[[1,0],[0,0]],[[0,0],[0,NaN]]]}', "non-finite"),
+        *[pytest.param('{"n_qubits": 1, "matrix": [[[1,0],[0,%s]],[[0,0],[0,0]]]}' % junk,
+                       r"^matrix\[0\]\[1\] must be a \[re, im\] pair", id=f"component-{junk}")
+          for junk in ("true", "null", '"0.5"', "{}")],
+        pytest.param('{"n_qubits": 1, "matrix": [[[1,0],[0,0]],[[0,0,0],[0,0]]]}',
+                     r"^matrix\[1\]\[0\] must be a \[re, im\] pair", id="3-element-pair"),
+        pytest.param('{"n_qubits": 1, "matrix": [[[1,0],[0,0]],[[0,0],0.5]]}',
+                     r"^matrix\[1\]\[1\] must be a \[re, im\] pair", id="bare-number"),
+        pytest.param('{"n_qubits": 1, "matrix": [[[1,0],[1e999,0]],[[0,0],[0,0]]]}',
+                     r"^matrix\[0\]\[1\] has a non-finite component: \[inf, 0",
+                     id="1e999"),
+        pytest.param('{"n_qubits": 1, "matrix": [[[1,0],[0,0]],[[0,-Infinity],[0,0]]]}',
+                     r"^matrix\[1\]\[0\] has a non-finite component: \[0.0, -inf\]",
+                     id="-Infinity"),
+        pytest.param('{"n_qubits": 1, "matrix": [[[1,0],[0,"x"]],[[0,0]]]}',
+                     r"^matrix\[0\]\[1\]", id="entry-defect-before-short-row"),
         pytest.param(
             '{"n_qubits": 1, "matrix": [[[1,0],[0,0]],[[0,0],[1%s,0]]]}' % ("0" * 400),
             r"matrix\[1\]\[1\]", id="integer-beyond-float-range",
@@ -275,3 +306,17 @@ def test_save_and_load(tmp_path):
     lqu.save_density_matrix(rho, path)
     again = lqu.load_density_matrix(path)
     np.testing.assert_array_equal(again.matrix, rho.matrix)
+
+
+def test_save_streams_rows_in_bounded_memory(tmp_path):
+    rho = mix_white_noise(random_pure(8, 3), 0.25)
+    path = tmp_path / "q8.json"
+    tracemalloc.start()
+    try:
+        lqu.save_density_matrix(rho, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < size / 2, (peak, size)
+    assert path.read_text() == density_matrix_to_json(rho) + "\n"
