@@ -38,10 +38,20 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def _check_sweep(args) -> None:
     """Reject a sweep's arguments before --out is opened or anything computed."""
-    if args.family == "random" and (args.qubits is None or args.seed is None):
-        raise ValueError("--family random requires --qubits and --seed")
+    if args.family == "random":
+        if args.qubits is None or args.seed is None:
+            raise ValueError("--family random requires --qubits and --seed")
+        _check_seed(args.seed)
+    elif args.qubits is not None or args.seed is not None:
+        raise ValueError(f"--qubits and --seed apply to --family random only, "
+                         f"not to {args.family!r}")
     if args.steps < 2:
         raise ValueError(f"steps must be >= 2, got {args.steps}")
     if args.param_from > args.param_to:
@@ -109,7 +119,9 @@ def cmd_sweep(args) -> int:
             writer.writerow(header)
             writer.writerows(rows)
     except BaseException:
-        os.remove(args.out)  # never leave a partial file behind
+        # Leave no partial file behind, but never remove a device or a FIFO.
+        if os.path.isfile(args.out):
+            os.remove(args.out)
         raise
     return 0
 
@@ -119,6 +131,7 @@ def cmd_random(args) -> int:
         print(f"error: --pure-fraction {args.pure_fraction} outside [0, 1]",
               file=sys.stderr)
         return 2
+    _check_seed(args.seed)
     psi = random_pure(args.qubits, args.seed)
     rho = mix_white_noise(psi, 1.0 - args.pure_fraction)
     if args.dump:

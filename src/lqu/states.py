@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import NoReturn
+from json.scanner import make_scanner
 
 import numpy as np
 
@@ -253,9 +254,9 @@ def build_state(
 # 2^N rows of 2^N [re, im] pairs, row-major.
 
 
-def _entry(value, row: int, col: int) -> None:
-    """The one definition of a valid entry and of each entry diagnostic;
-    raises naming matrix[row][col]."""
+def _entry(value, row: int, col: int) -> complex:
+    """The one definition of a valid entry and of each entry diagnostic:
+    the entry's value, or an error naming matrix[row][col]."""
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
@@ -265,49 +266,38 @@ def _entry(value, row: int, col: int) -> None:
             f"matrix[{row}][{col}] must be a [re, im] pair of numbers, got {value!r}"
         )
     try:
-        re, im = float(value[0]), float(value[1])
+        real, imag = float(value[0]), float(value[1])
     except OverflowError:  # an integer beyond the float range
         raise DensityMatrixFormatError(
             f"matrix[{row}][{col}] has a component outside the float range"
         ) from None
-    if not (math.isfinite(re) and math.isfinite(im)):
+    if not (math.isfinite(real) and math.isfinite(imag)):
         raise DensityMatrixFormatError(
-            f"matrix[{row}][{col}] has a non-finite component: [{re}, {im}]"
+            f"matrix[{row}][{col}] has a non-finite component: [{real}, {imag}]"
         )
+    return complex(real, imag)
 
 
-def _raise_first_defect(rows: list, dim: int) -> NoReturn:
-    """Name the first malformed row or entry in row-major order."""
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            got = len(row) if isinstance(row, list) else type(row).__name__
-            raise DensityMatrixFormatError(
-                f"matrix row {i} must have {dim} entries, got {got}"
-            )
-        for j, value in enumerate(row):
-            _entry(value, i, j)
-    raise AssertionError("the bulk check rejected a matrix that _entry accepts")
-
-
-def _bulk_matrix(rows: list, dim: int) -> np.ndarray | None:
-    """The d x d complex matrix from the decoded rows in a few bulk passes, or
-    None if any row or entry is malformed. It accepts exactly what _entry does:
-    json.loads yields only exact int, float, bool, str, None, list and dict,
-    so type(x) in {int, float} is _entry's "number but not bool"."""
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {dim}:
-        return None
-    pairs = list(chain.from_iterable(rows))
-    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
-        return None
-    if not set(map(type, chain.from_iterable(pairs))) <= {int, float}:
-        return None
-    try:
-        a = np.fromiter(chain.from_iterable(pairs), float, count=2 * dim * dim)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    if not np.isfinite(a).all():
-        return None
-    return a.view(complex).reshape(dim, dim)
+def _row(row, i: int, dim: int) -> np.ndarray:
+    """Row i of the matrix as dim complex numbers, checked by _entry's rules;
+    raises naming the row or its first malformed entry. The decoder yields
+    only exact int, float, bool, str, None, list and dict, so the bulk test
+    type(x) in {int, float} is _entry's "number but not bool"."""
+    if not isinstance(row, list) or len(row) != dim:
+        got = len(row) if isinstance(row, list) else type(row).__name__
+        raise DensityMatrixFormatError(f"matrix row {i} must have {dim} entries, got {got}")
+    if (
+        set(map(type, row)) == {list}
+        and set(map(len, row)) == {2}
+        and set(map(type, chain.from_iterable(row))) <= {int, float}
+    ):
+        try:
+            a = np.fromiter(chain.from_iterable(row), float, count=2 * dim)
+        except OverflowError:  # an integer beyond the float range; _entry names it
+            a = None
+        if a is not None and np.isfinite(a).all():
+            return a.view(complex)
+    return np.array([_entry(value, i, j) for j, value in enumerate(row)])
 
 
 def _parse_int(digits: str):
@@ -317,8 +307,18 @@ def _parse_int(digits: str):
         return float(digits)
 
 
-def density_matrix_from_json(text: str) -> DensityMatrix:
-    """Parse the JSON density-matrix format, with position-bearing errors."""
+def _qubits(n) -> int:
+    """The matrix dimension for an n_qubits value; raises naming a bad one."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise DensityMatrixFormatError(f"n_qubits must be a positive integer, got {n!r}")
+    if n > MAX_QUBITS:
+        raise DensityMatrixFormatError(f"n_qubits {n} exceeds the limit of {MAX_QUBITS}")
+    return 2**n
+
+
+def _decode(text: str) -> tuple[int, list[np.ndarray]]:
+    """json.loads the whole document and check it in order, with the message
+    of the first defect: the one source of every format diagnostic."""
     try:
         doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
@@ -333,20 +333,92 @@ def density_matrix_from_json(text: str) -> DensityMatrix:
     if "n_qubits" not in doc or "matrix" not in doc:
         missing = {"n_qubits", "matrix"} - set(doc)
         raise DensityMatrixFormatError(f"missing required key(s): {sorted(missing)}")
-    n = doc["n_qubits"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DensityMatrixFormatError(f"n_qubits must be a positive integer, got {n!r}")
-    if n > MAX_QUBITS:
-        raise DensityMatrixFormatError(f"n_qubits {n} exceeds the limit of {MAX_QUBITS}")
-    dim = 2**n
+    dim = _qubits(doc["n_qubits"])
     rows = doc["matrix"]
     if not isinstance(rows, list) or len(rows) != dim:
         got = len(rows) if isinstance(rows, list) else type(rows).__name__
         raise DensityMatrixFormatError(f"matrix must have {dim} rows, got {got}")
-    m = _bulk_matrix(rows, dim)
-    if m is None:
-        _raise_first_defect(rows, dim)
-    return DensityMatrix(n_qubits=n, matrix=m)
+    return doc["n_qubits"], [_row(row, i, dim) for i, row in enumerate(rows)]
+
+
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's whitespace; str.isspace admits more
+
+
+def _walk(text: str) -> tuple[int, list[np.ndarray]]:
+    """Decode the top-level object one value at a time with json's own
+    scanner, and the "matrix" array one row at a time, so no more than one
+    row's lists are alive at once. Raises on anything it does not expect,
+    valid or not; _decode then gives the verdict."""
+    scan = make_scanner(json.JSONDecoder(parse_int=_parse_int))
+    skip = _WHITESPACE.match
+    doc = {}
+    i = skip(text).end()
+    if text[i] != "{":
+        raise ValueError("not an object")
+    while True:
+        key, i = scan(text, skip(text, i + 1).end())
+        i = skip(text, i).end()
+        if not isinstance(key, str) or text[i] != ":":
+            raise ValueError("not a key")
+        i = skip(text, i + 1).end()
+        if key == "matrix":
+            dim = _qubits(doc["n_qubits"]) if "n_qubits" in doc else None
+            doc[key], i = _walk_rows(text, i, scan, dim)
+        else:
+            doc[key], i = scan(text, i)
+        i = skip(text, i).end()
+        if text[i] == "}":
+            break
+        if text[i] != ",":
+            raise ValueError("no comma")
+    if skip(text, i + 1).end() != len(text):
+        raise ValueError("extra data")
+    rows = doc.get("matrix", ())
+    if len(rows) != _qubits(doc.get("n_qubits")) or rows[0].size != len(rows):
+        raise ValueError("wrong row count")
+    return doc["n_qubits"], rows
+
+
+def _walk_rows(text: str, i: int, scan, dim: int | None) -> tuple[list[np.ndarray], int]:
+    """The rows of the array at text[i], each checked and converted by _row as
+    soon as it is decoded, and the index just past the array. Before n_qubits
+    is read (dim None), the first row's length stands in for dim; _walk
+    checks it at the end."""
+    if text[i] != "[":
+        raise ValueError("not an array")
+    skip = _WHITESPACE.match
+    rows = []
+    while True:
+        row, i = scan(text, skip(text, i + 1).end())
+        if dim is None:
+            dim = len(row) if isinstance(row, list) else 0
+        rows.append(_row(row, len(rows), dim))
+        i = skip(text, i).end()
+        if text[i] == "]":
+            return rows, i + 1
+        if text[i] != ",":
+            raise ValueError("no comma")
+
+
+def density_matrix_from_json(text: str) -> DensityMatrix:
+    """Parse the JSON density-matrix format, with position-bearing errors.
+
+    A document is decoded row by row, so its peak memory is about the size
+    of the text; anything the walk does not expect, valid or not, is
+    decoded whole by json.loads instead, which names the first defect."""
+    # On a document it does not expect, the walk raises the scanner's
+    # StopIteration (no value at the index) or JSONDecodeError, an IndexError
+    # past the end, a format error from _row or _qubits, a RecursionError, or
+    # an OverflowError should any conversion overflow.
+    try:
+        n, rows = _walk(text)
+    except (StopIteration, IndexError, ValueError, RecursionError, OverflowError):
+        rows = None
+    if rows is None:
+        # Outside the handler, so the walk's rows are freed first and its
+        # exception does not become the context of _decode's.
+        n, rows = _decode(text)
+    return DensityMatrix(n_qubits=n, matrix=rows)  # stacks the rows into its one copy
 
 
 def load_density_matrix(path) -> DensityMatrix:

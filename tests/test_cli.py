@@ -166,6 +166,55 @@ def test_sweep_removes_partial_file_on_failure(tmp_path, capsys, monkeypatch):
     assert not out_path.exists()
 
 
+def test_sweep_failing_on_a_pipe_keeps_the_pipe(tmp_path, capsys):
+    # The reader leaves after 10 bytes of a 2001-row CSV, so the write fails
+    # with a broken pipe; only a regular file is removed after a failure.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def read_a_little():
+        with open(fifo, "rb") as fh:
+            fh.read(10)
+
+    reader = threading.Thread(target=read_a_little, daemon=True)
+    reader.start()
+    code, _, err = run(capsys, "sweep", "--family", "ghz3", "--from", "0", "--to", "1",
+                       "--steps", "2001", "--out", str(fifo))
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+@pytest.mark.parametrize("flag", [("--qubits", "7"), ("--seed", "1")])
+@pytest.mark.parametrize("family, lo, hi", [("ghz3", "0", "1"), ("kay", "2", "10")])
+def test_sweep_rejects_random_only_flags_for_other_families(tmp_path, capsys, flag,
+                                                            family, lo, hi):
+    out_path = tmp_path / "out.csv"
+    code, _, err = run(capsys, "sweep", "--family", family, "--from", lo, "--to", hi,
+                       "--steps", "3", "--out", str(out_path), *flag)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and flag[0] in lines[0], lines
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["random", "--qubits", "3", "--pure-fraction", "0.5"],
+    ["sweep", "--family", "random", "--qubits", "3", "--from", "0", "--to", "1",
+     "--steps", "3"],
+])
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
+    out_path = tmp_path / "out.csv"
+    extra = ["--out", str(out_path)] if command[0] == "sweep" else []
+    code, _, err = run(capsys, *command, *extra, "--seed", "-1")
+    assert code == 2
+    assert err.splitlines() == ["error: --seed must be >= 0, got -1"]
+    assert not out_path.exists()
+
+
 def test_unknown_family_exits_2_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--family", "bell", "--from", "0", "--to", "1",

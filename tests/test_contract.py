@@ -5,8 +5,8 @@ end in exit code 0, 2 or 3. Exit 0 writes nothing to stderr; 2 and 3 write
 exactly one line starting "error: ". A numpy RuntimeWarning counts as a
 breach, since it would print on stderr too.
 
-The same documents also check the bulk parser against the per-entry
-reference parser in helpers.py.
+The same documents also check the parser against the per-entry reference
+parser in helpers.py.
 """
 
 import contextlib

@@ -308,6 +308,21 @@ def test_save_and_load(tmp_path):
     np.testing.assert_array_equal(again.matrix, rho.matrix)
 
 
+def test_parse_decodes_rows_in_bounded_memory():
+    # Only one row's lists are alive at a time, so the traced peak is the
+    # converted rows and the matrix built from them, about 0.7x the text; a
+    # whole-document list tree takes about 3.6x.
+    text = density_matrix_to_json(mix_white_noise(random_pure(8, 3), 0.25))
+    tracemalloc.start()
+    try:
+        rho = density_matrix_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(text), (peak, len(text))
+    assert density_matrix_to_json(rho) == text
+
+
 def test_save_streams_rows_in_bounded_memory(tmp_path):
     rho = mix_white_noise(random_pure(8, 3), 0.25)
     path = tmp_path / "q8.json"
