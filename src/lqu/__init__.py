@@ -1,8 +1,11 @@
 """Local quantum uncertainty for N-qubit density matrices.
 
-Per-bipartition values via the closed eigenvalue route (one minus the
-largest eigenvalue of a 3x3 Pauli correlation matrix per measured qubit),
-their arithmetic mean, built-in state families, and closed-form references.
+LQU is the minimum skew information over observables on the measured
+qubit. The package needs no search over them: each per-bipartition value is
+one minus the largest eigenvalue of a 3x3 Pauli correlation matrix. It also
+gives their arithmetic mean, built-in state families and closed-form
+references. The sampling minimisation of skew information is kept in the
+test suite, as an independent oracle for this route.
 """
 
 from .analytic import (
@@ -23,11 +26,8 @@ from .core import (
     local_observable,
     lqu_all,
     lqu_bipartition,
-    lqu_variational,
-    skew_information,
 )
 from .linalg import (
-    DimensionMismatch,
     NoConvergence,
     NotHermitian,
     NotPositiveSemidefinite,
@@ -55,7 +55,6 @@ from .states import (
 __all__ = [
     "DensityMatrix",
     "DensityMatrixFormatError",
-    "DimensionMismatch",
     "FAMILY_NAMES",
     "GammaOutOfRange",
     "IndexOutOfRange",
@@ -81,14 +80,12 @@ __all__ = [
     "lqu_ghz3",
     "lqu_ghz4_class",
     "lqu_kay",
-    "lqu_variational",
     "lqu_w3",
     "lqu_w4",
     "mix_white_noise",
     "pure_state",
     "random_pure",
     "save_density_matrix",
-    "skew_information",
     "validate",
     "w3_correlation_eigenvalues",
 ]

@@ -25,9 +25,8 @@ from .linalg import NoConvergence
 from .states import (
     FAMILY_NAMES,
     build_state,
+    check_qubit_count,
     load_density_matrix,
-    mix_white_noise,
-    random_pure,
     save_density_matrix,
     validate,
 )
@@ -48,6 +47,7 @@ def _check_sweep(args) -> None:
     if args.family == "random":
         if args.qubits is None or args.seed is None:
             raise ValueError("--family random requires --qubits and --seed")
+        check_qubit_count(args.qubits)
         _check_seed(args.seed)
     elif args.qubits is not None or args.seed is not None:
         raise ValueError(f"--qubits and --seed apply to --family random only, "
@@ -79,19 +79,15 @@ def cmd_compute(args) -> int:
     violations = validate(rho)
     if violations:
         detail = ", ".join(str(v) for v in violations)
-        print(f"error: {args.file} is not a valid density matrix: {detail}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.file} is not a valid density matrix: {detail}")
     for line in _report_lines(lqu_all(rho)):
         print(line)
     return 0
 
 
-def sweep_rows(args) -> tuple[list[str], list[list[str]]]:
-    """Evaluate the sweep the parsed arguments describe; returns (header,
-    rows) ready for CSV writing."""
-    # np.linspace pins both endpoints exactly; interior points are uniform.
-    params = np.linspace(args.param_from, args.param_to, args.steps)
+def sweep_rows(args, params: np.ndarray) -> tuple[list[str], list[list[str]]]:
+    """Evaluate the sweep the parsed arguments describe at the grid params;
+    returns (header, rows) ready for CSV writing."""
     formula = closed_form_for(args.family)
     rows: list[list[str]] = []
     for p in params:
@@ -110,11 +106,14 @@ def sweep_rows(args) -> tuple[list[str], list[list[str]]]:
 
 def cmd_sweep(args) -> int:
     _check_sweep(args)
+    # np.linspace pins both endpoints exactly; interior points are uniform.
+    # Built first: a grid numpy refuses must not cost the user's --out file.
+    params = np.linspace(args.param_from, args.param_to, args.steps)
     # Open before computing, so a bad path fails before any work is done.
     fh = open(args.out, "w", encoding="utf-8", newline="")
     try:
         with fh:
-            header, rows = sweep_rows(args)
+            header, rows = sweep_rows(args, params)
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
@@ -128,12 +127,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_random(args) -> int:
     if not 0.0 <= args.pure_fraction <= 1.0:
-        print(f"error: --pure-fraction {args.pure_fraction} outside [0, 1]",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"--pure-fraction {args.pure_fraction} outside [0, 1]")
     _check_seed(args.seed)
-    psi = random_pure(args.qubits, args.seed)
-    rho = mix_white_noise(psi, 1.0 - args.pure_fraction)
+    rho = build_state("random", 1.0 - args.pure_fraction, args.qubits, args.seed)
     if args.dump:
         save_density_matrix(rho, args.dump)
     for line in _report_lines(lqu_all(rho)):

@@ -1,5 +1,5 @@
-"""The measure itself: skew information, per-qubit 3x3 correlation matrices,
-per-bipartition local quantum uncertainty and the N-qubit arithmetic mean.
+"""The measure itself: per-qubit 3x3 correlation matrices, per-bipartition
+local quantum uncertainty and the N-qubit arithmetic mean.
 
 For one measured qubit k the 3x3 matrix holds
 Tr[sqrt(rho) sigma_i^(k) sqrt(rho) sigma_j^(k)], i,j over x,y,z, with the
@@ -14,16 +14,8 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import (
-    IMAG_TOL,
-    RANGE_TOL,
-    SKEW_NEG_TOL,
-    DimensionMismatch,
-    as_square_complex,
-    hermiticity_defect,
-    require_hermitian,
-)
-from .states import DensityMatrix, gaussian_reals
+from .linalg import IMAG_TOL, RANGE_TOL
+from .states import DensityMatrix
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -70,39 +62,6 @@ def local_observable(n_qubits: int, qubit_index: int, pauli_index: int) -> np.nd
     factors = [IDENTITY_2] * n_qubits
     factors[qubit_index] = PAULIS[pauli_index]
     return reduce(np.kron, factors)
-
-
-def _check_observable(rho: DensityMatrix, k) -> np.ndarray:
-    k = as_square_complex(k, "observable")
-    if k.shape[0] != rho.dim:
-        raise DimensionMismatch(
-            f"observable has dimension {k.shape[0]}, state has {rho.dim}"
-        )
-    require_hermitian(hermiticity_defect(k), "observable")
-    return k
-
-
-def _skew_terms(rho_m: np.ndarray, sqrt_m: np.ndarray, k_batch: np.ndarray) -> np.ndarray:
-    """Tr(rho k^2) - Tr(sqrt(rho) k sqrt(rho) k) for a batch of observables."""
-    t1 = np.einsum("ij,sjk,ski->s", rho_m, k_batch, k_batch, optimize=True)
-    t2 = np.einsum("ij,sjk,kl,sli->s", sqrt_m, k_batch, sqrt_m, k_batch, optimize=True)
-    return (t1 - t2).real
-
-
-def skew_information(rho: DensityMatrix, k) -> float:
-    """Skew information of the state with respect to observable k.
-
-    Equals Tr(rho k^2) - Tr(sqrt(rho) k sqrt(rho) k); zero iff the state
-    and the observable commute, and never meaningfully negative.
-    """
-    k = _check_observable(rho, k)
-    sqrt_m = rho.spectrum.sqrt()
-    value = float(_skew_terms(rho.matrix, sqrt_m, k[np.newaxis])[0])
-    if value < -SKEW_NEG_TOL:
-        raise NumericalContractViolation(
-            f"skew information {value:.3e} below -{SKEW_NEG_TOL:.0e}"
-        )
-    return value
 
 
 def _correlation_given_sqrt(
@@ -174,23 +133,3 @@ def lqu_all(rho: DensityMatrix) -> LquReport:
     sqrt_m = rho.spectrum.sqrt()
     values = tuple(_lqu_given_sqrt(sqrt_m, rho.n_qubits, q) for q in range(rho.n_qubits))
     return LquReport(per_bipartition=values, mean=sum(values) / rho.n_qubits)
-
-
-def lqu_variational(rho: DensityMatrix, qubit_index: int, n_samples: int, seed: int) -> float:
-    """Sampling upper bound on the bipartition value.
-
-    Minimizes skew information over n_samples observables n . sigma on the
-    measured qubit, with directions n uniform on the sphere (normalized
-    Gaussian triples). Always >= lqu_bipartition up to rounding, converging
-    to it as n_samples grows. Deliberately avoids the eigenvalue route so it
-    can serve as an independent check of it.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    _check_qubit(rho.n_qubits, qubit_index)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    directions = gaussian_reals(rng, 3 * n_samples).reshape(n_samples, 3)
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    obs = np.stack([local_observable(rho.n_qubits, qubit_index, p) for p in (1, 2, 3)])
-    k_batch = np.einsum("si,ijk->sjk", directions, obs)
-    return float(_skew_terms(rho.matrix, rho.spectrum.sqrt(), k_batch).min())

@@ -19,12 +19,11 @@ import numpy as np
 # the Pauli correlations built from them, which are O(1) whatever the qubit
 # count, so a fixed band far above double rounding separates rounding dirt
 # from a real defect. README.md ("Tolerances") gives the reason for each.
-HERMITICITY_TOL = 1e-10  # max |m - m^H| of a state or an observable
+HERMITICITY_TOL = 1e-10  # max |m - m^H| of a state
 TRACE_TOL = 1e-10        # |Tr rho - 1|
 PSD_TOL = 1e-8           # how far below 0 an eigenvalue of rho may sit
 IMAG_TOL = 1e-10         # imaginary residue of a correlation entry
 RANGE_TOL = 1e-9         # how far correlation eigenvalues may leave [0, 1]
-SKEW_NEG_TOL = 1e-10     # how far below 0 skew information may sit
 
 
 class NotHermitian(ValueError):
@@ -37,10 +36,6 @@ class NoConvergence(ArithmeticError):
 
 class NotPositiveSemidefinite(ValueError):
     """Matrix has an eigenvalue below the allowed negative tolerance."""
-
-
-class DimensionMismatch(ValueError):
-    """Operands do not share the required dimension."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +59,11 @@ class Spectrum:
         NotPositiveSemidefinite for an eigenvalue below -PSD_TOL; smaller
         negative eigenvalues are rounding dirt and count as zero.
         """
-        require_hermitian(self.hermiticity_defect)
+        if self.hermiticity_defect > HERMITICITY_TOL:
+            raise NotHermitian(
+                f"matrix is not Hermitian: max |m - m^H| = "
+                f"{self.hermiticity_defect:.3e} > {HERMITICITY_TOL:.3e}"
+            )
         if self.eigenvalues[0] < -PSD_TOL:
             raise NotPositiveSemidefinite(
                 f"smallest eigenvalue {self.eigenvalues[0]:.3e} is below -{PSD_TOL:.3e}"
@@ -72,26 +71,10 @@ class Spectrum:
         return self.root
 
 
-def as_square_complex(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex128 array, rejecting anything else."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation |m - m^dagger|; inf when it overflows."""
     with np.errstate(over="ignore"):  # finite entries near the float maximum
         return float(np.abs(m - m.conj().T).max())
-
-
-def require_hermitian(defect: float, name: str = "matrix") -> None:
-    """Raise NotHermitian when a Hermiticity defect exceeds HERMITICITY_TOL."""
-    if defect > HERMITICITY_TOL:
-        raise NotHermitian(
-            f"{name} is not Hermitian: max |m - m^H| = {defect:.3e} > {HERMITICITY_TOL:.3e}"
-        )
 
 
 def spectrum(m) -> Spectrum:
@@ -103,7 +86,7 @@ def spectrum(m) -> Spectrum:
     input the eigensolver reports the null space as O(eps) noise, and sqrt
     would amplify +1e-16 to 1e-8.
     """
-    a = as_square_complex(m)
+    a = np.asarray(m, dtype=complex)
     try:  # on the exactly-Hermitian part, so LAPACK sees clean input; halving
         # first is exact for normal floats and cannot overflow
         w, v = np.linalg.eigh(a / 2 + a.conj().T / 2)

@@ -192,13 +192,18 @@ def gaussian_reals(rng: np.random.Generator, n: int) -> np.ndarray:
     return out[:n]
 
 
+def check_qubit_count(n_qubits: int) -> None:
+    """Reject a qubit count for random_pure before anything is allocated."""
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+
+
 def random_pure(n_qubits: int, seed: int) -> np.ndarray:
     """Haar-random pure state: normalized i.i.d. complex Gaussian amplitudes.
 
     Deterministic for a given seed (PCG64 bit stream + Box-Muller).
     """
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+    check_qubit_count(n_qubits)
     rng = np.random.Generator(np.random.PCG64(seed))
     dim = 2**n_qubits
     reals = gaussian_reals(rng, 2 * dim)

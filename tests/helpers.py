@@ -1,5 +1,6 @@
-"""Shared test utilities: seeded random matrices, a partial-trace oracle and
-a per-entry reference parser for the density-matrix JSON format.
+"""Shared test utilities: seeded random matrices, a partial-trace oracle,
+skew-information oracles and a per-entry reference parser for the
+density-matrix JSON format.
 
 Everything here is deliberately independent of the library internals so it
 can serve as an oracle for them.
@@ -63,6 +64,40 @@ def reduced_single_qubit(matrix, n_qubits, keep):
 def bloch_vector(matrix, n_qubits, qubit):
     red = reduced_single_qubit(matrix, n_qubits, qubit)
     return np.array([np.trace(red @ PAULI[a]).real for a in "xyz"])
+
+
+def pauli_on(n_qubits, qubit, axis):
+    """Pauli axis ("x", "y" or "z") on one qubit, identity on the rest."""
+    return np.kron(np.kron(np.eye(2**qubit), PAULI[axis]), np.eye(2 ** (n_qubits - qubit - 1)))
+
+
+def _skew_terms(rho, k_batch):
+    """Tr(rho k^2) - Tr(sqrt(rho) k sqrt(rho) k) for a batch of observables,
+    with the root formed here from an eigh clipped at 0."""
+    w, v = np.linalg.eigh(rho)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    t1 = np.einsum("ij,sjk,ski->s", rho, k_batch, k_batch, optimize=True)
+    t2 = np.einsum("ij,sjk,kl,sli->s", root, k_batch, root, k_batch, optimize=True)
+    return (t1 - t2).real
+
+
+def skew_information(rho, k):
+    """Skew information of the density matrix rho with respect to the
+    observable k; zero iff they commute."""
+    return float(_skew_terms(np.asarray(rho, dtype=complex), np.asarray(k)[np.newaxis])[0])
+
+
+def lqu_variational(rho, qubit, n_samples, seed):
+    """Sampling upper bound on the LQU of (qubit | rest): the least skew
+    information over n_samples observables n . sigma on that qubit, with n
+    uniform on the sphere. It never forms the correlation matrix, so it
+    checks the eigenvalue route from outside."""
+    rho = np.asarray(rho, dtype=complex)
+    n_qubits = rho.shape[0].bit_length() - 1
+    directions = rng_for(seed).standard_normal((n_samples, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    sigma = np.stack([pauli_on(n_qubits, qubit, a) for a in "xyz"])
+    return float(_skew_terms(rho, np.einsum("si,ijk->sjk", directions, sigma)).min())
 
 
 def _reference_entry(value, row, col):

@@ -15,7 +15,7 @@ import lqu
 from lqu import cli
 from lqu.linalg import spectrum
 
-from helpers import haar_unitary, random_density, random_psd, rng_for
+from helpers import haar_unitary, lqu_variational, random_density, random_psd, rng_for
 
 GAMMA_SET = (2.0, 2.5, 2 * math.sqrt(2), 3.0, 5.0, 10.0, 100.0)
 FOUR_QUBIT_CLASS = ("ghz4", "dicke24", "singlet4", "cluster4", "chi4")
@@ -122,7 +122,7 @@ def test_criterion_6_variational_oracle():
         assert 0.0 <= report.mean <= 1.0
         for q in range(3):
             closed = report.per_bipartition[q]
-            sampled = lqu.lqu_variational(rho, q, 10_000, seed=1_000 + 31 * seed + q)
+            sampled = lqu_variational(rho.matrix, q, 10_000, seed=1_000 + 31 * seed + q)
             assert sampled >= closed - 1e-9
             assert sampled <= closed + 2e-3
         v = report.per_bipartition

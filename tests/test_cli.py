@@ -188,6 +188,23 @@ def test_sweep_failing_on_a_pipe_keeps_the_pipe(tmp_path, capsys):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "random", "--qubits", str(lqu.states.MAX_QUBITS + 1), "--seed", "1",
+     "--steps", "2"],
+    # numpy refuses this grid size outright, without trying to allocate it
+    ["--family", "ghz3", "--steps", str(10**20)],
+], ids=["qubits-over-limit", "grid-too-large"])
+def test_sweep_rejected_config_keeps_existing_out(tmp_path, capsys, argv):
+    out = tmp_path / "keep.csv"
+    out.write_bytes(b"param,mean\n0.5,0.25\n")
+    code, stdout, err = run(capsys, "sweep", *argv, "--from", "0", "--to", "1",
+                            "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert len(err.splitlines()) == 1
+    assert out.read_bytes() == b"param,mean\n0.5,0.25\n"
+
+
 @pytest.mark.parametrize("flag", [("--qubits", "7"), ("--seed", "1")])
 @pytest.mark.parametrize("family, lo, hi", [("ghz3", "0", "1"), ("kay", "2", "10")])
 def test_sweep_rejects_random_only_flags_for_other_families(tmp_path, capsys, flag,

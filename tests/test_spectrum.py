@@ -47,8 +47,6 @@ def test_every_consumer_reads_the_shared_spectrum(dense_eigs):
     for q in range(3):
         lqu.lqu_bipartition(rho, q)
         lqu.correlation_matrix(rho, q)
-    lqu.skew_information(rho, lqu.local_observable(3, 0, 3))
-    lqu.lqu_variational(rho, 1, 5, seed=2)
     assert dense_eigs.count(8) == 1
 
 
