@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 
 import numpy as np
@@ -25,8 +24,9 @@ from .linalg import NoConvergence
 from .states import (
     FAMILY_NAMES,
     build_state,
-    check_qubit_count,
     load_density_matrix,
+    output_file,
+    qubit_dimension,
     save_density_matrix,
     validate,
 )
@@ -47,7 +47,7 @@ def _check_sweep(args) -> None:
     if args.family == "random":
         if args.qubits is None or args.seed is None:
             raise ValueError("--family random requires --qubits and --seed")
-        check_qubit_count(args.qubits)
+        qubit_dimension(args.qubits)
         _check_seed(args.seed)
     elif args.qubits is not None or args.seed is not None:
         raise ValueError(f"--qubits and --seed apply to --family random only, "
@@ -110,18 +110,11 @@ def cmd_sweep(args) -> int:
     # Built first: a grid numpy refuses must not cost the user's --out file.
     params = np.linspace(args.param_from, args.param_to, args.steps)
     # Open before computing, so a bad path fails before any work is done.
-    fh = open(args.out, "w", encoding="utf-8", newline="")
-    try:
-        with fh:
-            header, rows = sweep_rows(args, params)
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    except BaseException:
-        # Leave no partial file behind, but never remove a device or a FIFO.
-        if os.path.isfile(args.out):
-            os.remove(args.out)
-        raise
+    with output_file(args.out) as fh:
+        header, rows = sweep_rows(args, params)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     return 0
 
 

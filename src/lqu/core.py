@@ -15,7 +15,7 @@ from functools import reduce
 import numpy as np
 
 from .linalg import IMAG_TOL, RANGE_TOL
-from .states import DensityMatrix
+from .states import DensityMatrix, qubit_dimension
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -56,6 +56,7 @@ def local_observable(n_qubits: int, qubit_index: int, pauli_index: int) -> np.nd
     pauli_index is 1, 2, 3 for sigma_x, sigma_y, sigma_z. Qubit 0 is the
     most significant bit (leftmost tensor factor).
     """
+    qubit_dimension(n_qubits)  # the 2^N x 2^N product is bounded before it is built
     _check_qubit(n_qubits, qubit_index)
     if pauli_index not in PAULIS:
         raise IndexOutOfRange(f"pauli_index must be 1, 2 or 3, got {pauli_index}")

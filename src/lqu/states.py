@@ -12,19 +12,47 @@ import math
 import os
 import re
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from json.scanner import make_scanner
+from typing import TextIO
 
 import numpy as np
 
 from .linalg import HERMITICITY_TOL, PSD_TOL, TRACE_TOL, Spectrum, spectrum
 
-# Largest qubit count the parser, random_pure and mix_white_noise accept,
-# checked before anything of size 2^N is allocated. One complex d x d matrix
-# takes 16 * 4^N bytes (256 MiB at N = 12) and the dense path holds about ten.
+# Largest qubit count the package accepts, checked by qubit_dimension before
+# anything of size 2^N is allocated. One complex d x d matrix takes
+# 16 * 4^N bytes (256 MiB at N = 12) and the dense path holds about ten.
 MAX_QUBITS = 12
+
+
+def qubit_dimension(n_qubits, error: type[ValueError] = ValueError) -> int:
+    """2^n_qubits, after the one qubit-count rule: a positive integer no
+    larger than MAX_QUBITS. A count it rejects raises error naming it."""
+    integer = isinstance(n_qubits, (int, np.integer)) and not isinstance(n_qubits, bool)
+    if not integer or n_qubits < 1:
+        raise error(f"n_qubits must be a positive integer, got {n_qubits!r}")
+    if n_qubits > MAX_QUBITS:
+        raise error(f"n_qubits {n_qubits} exceeds the limit of {MAX_QUBITS}")
+    return 2**n_qubits
+
+
+@contextmanager
+def output_file(path) -> Iterator[TextIO]:
+    """path opened for writing text. If the block raises, the partial file
+    is removed, but only a regular file: never a device such as /dev/stdout
+    or a FIFO, and nothing at all if the open itself fails."""
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
 
 
 class UnknownFamily(ValueError):
@@ -57,12 +85,10 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
+        dim = qubit_dimension(self.n_qubits)
         m = np.array(self.matrix, dtype=complex)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
-        dim = 2**self.n_qubits
         if m.shape != (dim, dim):
             raise ValueError(
                 f"matrix has shape {m.shape}, expected ({dim}, {dim}) "
@@ -192,20 +218,13 @@ def gaussian_reals(rng: np.random.Generator, n: int) -> np.ndarray:
     return out[:n]
 
 
-def check_qubit_count(n_qubits: int) -> None:
-    """Reject a qubit count for random_pure before anything is allocated."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-
-
 def random_pure(n_qubits: int, seed: int) -> np.ndarray:
     """Haar-random pure state: normalized i.i.d. complex Gaussian amplitudes.
 
     Deterministic for a given seed (PCG64 bit stream + Box-Muller).
     """
-    check_qubit_count(n_qubits)
+    dim = qubit_dimension(n_qubits)
     rng = np.random.Generator(np.random.PCG64(seed))
-    dim = 2**n_qubits
     reals = gaussian_reals(rng, 2 * dim)
     amps = reals[:dim] + 1j * reals[dim:]
     amps /= np.linalg.norm(amps)
@@ -312,15 +331,6 @@ def _parse_int(digits: str):
         return float(digits)
 
 
-def _qubits(n) -> int:
-    """The matrix dimension for an n_qubits value; raises naming a bad one."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DensityMatrixFormatError(f"n_qubits must be a positive integer, got {n!r}")
-    if n > MAX_QUBITS:
-        raise DensityMatrixFormatError(f"n_qubits {n} exceeds the limit of {MAX_QUBITS}")
-    return 2**n
-
-
 def _decode(text: str) -> tuple[int, list[np.ndarray]]:
     """json.loads the whole document and check it in order, with the message
     of the first defect: the one source of every format diagnostic."""
@@ -338,7 +348,7 @@ def _decode(text: str) -> tuple[int, list[np.ndarray]]:
     if "n_qubits" not in doc or "matrix" not in doc:
         missing = {"n_qubits", "matrix"} - set(doc)
         raise DensityMatrixFormatError(f"missing required key(s): {sorted(missing)}")
-    dim = _qubits(doc["n_qubits"])
+    dim = qubit_dimension(doc["n_qubits"], DensityMatrixFormatError)
     rows = doc["matrix"]
     if not isinstance(rows, list) or len(rows) != dim:
         got = len(rows) if isinstance(rows, list) else type(rows).__name__
@@ -367,7 +377,7 @@ def _walk(text: str) -> tuple[int, list[np.ndarray]]:
             raise ValueError("not a key")
         i = skip(text, i + 1).end()
         if key == "matrix":
-            dim = _qubits(doc["n_qubits"]) if "n_qubits" in doc else None
+            dim = qubit_dimension(doc["n_qubits"]) if "n_qubits" in doc else None
             doc[key], i = _walk_rows(text, i, scan, dim)
         else:
             doc[key], i = scan(text, i)
@@ -379,7 +389,7 @@ def _walk(text: str) -> tuple[int, list[np.ndarray]]:
     if skip(text, i + 1).end() != len(text):
         raise ValueError("extra data")
     rows = doc.get("matrix", ())
-    if len(rows) != _qubits(doc.get("n_qubits")) or rows[0].size != len(rows):
+    if len(rows) != qubit_dimension(doc.get("n_qubits")) or rows[0].size != len(rows):
         raise ValueError("wrong row count")
     return doc["n_qubits"], rows
 
@@ -413,8 +423,8 @@ def density_matrix_from_json(text: str) -> DensityMatrix:
     decoded whole by json.loads instead, which names the first defect."""
     # On a document it does not expect, the walk raises the scanner's
     # StopIteration (no value at the index) or JSONDecodeError, an IndexError
-    # past the end, a format error from _row or _qubits, a RecursionError, or
-    # an OverflowError should any conversion overflow.
+    # past the end, a format error from _row or qubit_dimension, a
+    # RecursionError, or an OverflowError should any conversion overflow.
     try:
         n, rows = _walk(text)
     except (StopIteration, IndexError, ValueError, RecursionError, OverflowError):
@@ -452,12 +462,6 @@ def density_matrix_to_json(rho: DensityMatrix) -> str:
 def save_density_matrix(rho: DensityMatrix, path) -> None:
     """Write the JSON document one row at a time, so memory does not grow
     with the document. A write that fails removes the partial file."""
-    fh = open(path, "w", encoding="utf-8")
-    try:
-        with fh:
-            fh.writelines(_json_pieces(rho))
-            fh.write("\n")
-    except BaseException:
-        if os.path.isfile(path):  # never a device such as /dev/stdout
-            os.remove(path)
-        raise
+    with output_file(path) as fh:
+        fh.writelines(_json_pieces(rho))
+        fh.write("\n")

@@ -404,6 +404,54 @@ def test_qubit_limit_is_checked_before_drawing_amplitudes(tmp_path, capsys, monk
     assert "n_qubits" in err
 
 
+@pytest.mark.parametrize("qubits, message", [
+    ("13", "n_qubits 13 exceeds the limit of 12"),
+    ("0", "n_qubits must be a positive integer, got 0"),
+])
+@pytest.mark.parametrize("command", ["compute", "random", "sweep"])
+def test_every_command_gives_the_one_qubit_count_line(tmp_path, capsys, command, qubits,
+                                                      message):
+    path = tmp_path / "state.json"
+    path.write_text('{"n_qubits": %s, "matrix": []}' % qubits)
+    argv = {
+        "compute": ["compute", str(path)],
+        "random": ["random", "--qubits", qubits, "--seed", "1", "--pure-fraction", "0.5"],
+        "sweep": ["sweep", "--family", "random", "--qubits", qubits, "--seed", "1",
+                  "--from", "0", "--to", "1", "--steps", "2",
+                  "--out", str(tmp_path / "r.csv")],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "random"])
+def test_failed_open_removes_nothing(tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "keep.out"
+    out.write_bytes(b"old contents\n")
+    real_open = open
+
+    def refuse(path, *args, **kwargs):
+        if os.fspath(path) == str(out):
+            raise OSError(f"cannot open {path}")
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", refuse)
+    argv = {
+        "sweep": ["sweep", "--family", "ghz3", "--from", "0", "--to", "1", "--steps", "3",
+                  "--out", str(out)],
+        "random": ["random", "--qubits", "2", "--seed", "1", "--pure-fraction", "0.5",
+                   "--dump", str(out)],
+    }[command]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: cannot open {out}\n"
+    assert out.read_bytes() == b"old contents\n"
+
+
 def test_memory_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     path = write_state(tmp_path, lqu.DensityMatrix(3, np.eye(8) / 8))
 

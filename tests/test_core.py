@@ -74,6 +74,16 @@ def test_local_observable_index_errors():
         local_observable(3, 0, 4)
 
 
+def test_local_observable_bounds_the_qubit_count_before_any_kron(monkeypatch):
+    # np.kron is never reached: unpatched, this call would build 8192 x 8192.
+    def fail(*_):
+        raise AssertionError("np.kron called beyond the qubit limit")
+
+    monkeypatch.setattr(np, "kron", fail)
+    with pytest.raises(ValueError, match="^n_qubits 13 exceeds the limit of 12$"):
+        local_observable(lqu.states.MAX_QUBITS + 1, 0, 1)
+
+
 # --- skew-information oracle (tests/helpers.py) -----------------------------
 
 def test_skew_vanishes_for_maximally_mixed():

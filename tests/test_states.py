@@ -163,6 +163,41 @@ def test_random_pure_is_normalized(seed):
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
 
+class _Unconvertible:
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("matrix converted before the qubit count was checked")
+
+
+_ENTRIES = {
+    "random_pure": lambda n: random_pure(n, 1),
+    "DensityMatrix": lambda n: DensityMatrix(n, _Unconvertible()),
+    "parser": lambda n: density_matrix_from_json(json.dumps({"n_qubits": n, "matrix": []})),
+}
+
+
+@pytest.mark.parametrize("n, message", [
+    (0, "n_qubits must be a positive integer, got 0"),
+    (True, "n_qubits must be a positive integer, got True"),
+    (3.0, "n_qubits must be a positive integer, got 3.0"),
+    (13, "n_qubits 13 exceeds the limit of 12"),
+])
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_one_qubit_count_rule_before_any_allocation(monkeypatch, entry, n, message):
+    def fail(*_):
+        raise AssertionError("amplitudes drawn before the qubit count was checked")
+
+    monkeypatch.setattr(lqu.states, "gaussian_reals", fail)
+    with pytest.raises(ValueError) as got:
+        _ENTRIES[entry](n)
+    assert str(got.value) == message
+    if entry == "parser":
+        assert type(got.value) is DensityMatrixFormatError
+
+
+def test_density_matrix_takes_a_numpy_integer_qubit_count():
+    assert DensityMatrix(np.int64(1), np.eye(2) / 2).dim == 2
+
+
 def test_random_pure_haar_marginal():
     # |amplitude_0|^2 of a Haar state is Beta(1, 7): mean 1/8, var 7/576.
     n = 10_000
