@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 
 import numpy as np
@@ -24,6 +23,7 @@ from .linalg import NoConvergence
 from .states import (
     FAMILY_NAMES,
     build_state,
+    check_param,
     load_density_matrix,
     output_file,
     qubit_dimension,
@@ -58,14 +58,11 @@ def _check_sweep(args) -> None:
         raise ValueError(
             f"--from ({args.param_from}) must not exceed --to ({args.param_to})"
         )
-    lo, hi = (2.0, np.inf) if args.family == "kay" else (0.0, 1.0)
     for name, p in (("--from", args.param_from), ("--to", args.param_to)):
-        if not math.isfinite(p):
-            raise ValueError(f"{name} = {p} is not a finite number")
-        if not lo <= p <= hi:
-            raise ValueError(
-                f"{name} = {p} outside the {args.family!r} domain [{lo}, {hi}]"
-            )
+        try:
+            check_param(p, kay=args.family == "kay")
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
 
 
 def _report_lines(report: LquReport) -> list[str]:

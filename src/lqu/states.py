@@ -64,7 +64,26 @@ class NoiseOutOfRange(ValueError):
 
 
 class GammaOutOfRange(ValueError):
-    """Kay-family parameter produces a non-PSD matrix (requires gamma >= 2)."""
+    """Kay-family parameter outside [2, GAMMA_MAX]."""
+
+
+# Largest Kay gamma: 8 * GAMMA_MAX is the float maximum, so the normalisation
+# 8 + 8 gamma is finite up to here and overflows beyond it.
+GAMMA_MAX = float(np.finfo(float).max) / 8
+
+
+def check_param(param: float, kay: bool = False) -> None:
+    """The one rule for a family's parameter, checked before anything is
+    built or opened: the Kay gamma lies in [2, GAMMA_MAX], every other
+    family's white-noise fraction in [0, 1]. NaN and +-inf fail both."""
+    if kay:
+        if not 2.0 <= param <= GAMMA_MAX:
+            raise GammaOutOfRange(
+                f"gamma = {param} outside [2, {GAMMA_MAX!r}]: below 2 the state is "
+                f"not PSD, and above it the trace normalisation 8 + 8 gamma overflows"
+            )
+    elif not 0.0 <= param <= 1.0:
+        raise NoiseOutOfRange(f"noise fraction {param} outside [0, 1]")
 
 
 class DensityMatrixFormatError(ValueError):
@@ -75,10 +94,10 @@ class DensityMatrixFormatError(ValueError):
 class DensityMatrix:
     """2^N x 2^N complex matrix meant to be Hermitian, unit-trace and PSD.
 
-    Construction only checks the shape; numeric invariants are checked by
-    validate(), which reports violations as data instead of raising. The
-    matrix is stored as a read-only copy, so the spectrum computed from it
-    on first use can never go stale.
+    Construction checks the shape and that every entry is finite; the other
+    invariants are checked by validate(), which reports violations as data
+    instead of raising. The matrix is stored as a read-only copy, so the
+    spectrum computed from it on first use can never go stale.
     """
 
     n_qubits: int
@@ -94,6 +113,9 @@ class DensityMatrix:
                 f"matrix has shape {m.shape}, expected ({dim}, {dim}) "
                 f"for {self.n_qubits} qubits"
             )
+        if not np.isfinite(m).all():
+            i, j = np.argwhere(~np.isfinite(m))[0]
+            raise ValueError(f"matrix[{i}][{j}] is not finite: {m[i, j]}")
 
     @property
     def dim(self) -> int:
@@ -101,8 +123,8 @@ class DensityMatrix:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        """The one eigendecomposition of this state: validate, the Kay
-        family's check and every sqrt(rho) in core read it."""
+        """The one eigendecomposition of this state: validate and every
+        sqrt(rho) in core read it."""
         return spectrum(self.matrix)
 
 
@@ -155,10 +177,9 @@ def mix_white_noise(amplitudes, noise: float) -> DensityMatrix:
     """(1 - noise) |psi><psi| + noise * I / 2^N for the amplitude vector psi.
 
     N is read from the vector's length, which must be 2^N with
-    1 <= N <= MAX_QUBITS.
+    1 <= N <= MAX_QUBITS, and every amplitude must be finite.
     """
-    if not 0.0 <= noise <= 1.0:
-        raise NoiseOutOfRange(f"noise fraction {noise} outside [0, 1]")
+    check_param(noise)
     psi = np.asarray(amplitudes, dtype=complex)
     dim = psi.size
     n = dim.bit_length() - 1
@@ -167,39 +188,28 @@ def mix_white_noise(amplitudes, noise: float) -> DensityMatrix:
             f"amplitude vector has length {dim}, "
             f"expected 2^N with 1 <= N <= {MAX_QUBITS}"
         )
+    if not np.isfinite(psi).all():
+        raise ValueError("amplitude vector has a non-finite entry")
     m = (1.0 - noise) * np.outer(psi, psi.conj()) + (noise / dim) * np.eye(dim)
     return DensityMatrix(n_qubits=n, matrix=m)
 
 
 def kay_state(gamma: float) -> DensityMatrix:
-    """The one-parameter 8x8 PPT family, valid for gamma >= 2.
+    """The one-parameter 8x8 PPT family, valid for 2 <= gamma <= GAMMA_MAX.
 
-    Validity is established by eigenvalue inspection of the constructed
-    matrix rather than by trusting the parameter: the smallest eigenvalue
-    is (gamma - 2) / (8 + 8 gamma), negative below gamma = 2.
+    Its smallest eigenvalue is (gamma - 2) / (8 + 8 gamma), so check_param's
+    range is exactly where the matrix is a state that floats can hold.
     """
     g = float(gamma)
+    check_param(g, kay=True)
     m = np.zeros((8, 8), dtype=complex)
     diag = [4 + g] + [g] * 6 + [4 + g]
     anti = [2, 2, -2, 2, 2, -2, 2, 2]
     for i in range(8):
         m[i, i] = diag[i]
         m[i, 7 - i] = anti[i]
-    with np.errstate(invalid="ignore"):  # gamma = inf gives inf / inf: caught below
-        m /= 8 + 8 * g
-    trace = np.trace(m).real
-    if not abs(trace - 1.0) <= TRACE_TOL:
-        raise GammaOutOfRange(
-            f"gamma = {gamma} gives trace {trace:.3e}, not 1: the normalisation "
-            f"8 + 8 gamma is finite only up to gamma = 2.2e307"
-        )
-    rho = DensityMatrix(n_qubits=3, matrix=m)
-    if rho.spectrum.eigenvalues[0] < -PSD_TOL:
-        raise GammaOutOfRange(
-            f"gamma = {gamma} gives a non-PSD matrix "
-            f"(min eigenvalue {(g - 2) / (8 + 8 * g):.3e}); gamma >= 2 required"
-        )
-    return rho
+    m /= 8 + 8 * g
+    return DensityMatrix(n_qubits=3, matrix=m)
 
 
 def gaussian_reals(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -347,6 +347,24 @@ def test_sweep_rejects_non_finite_bounds(tmp_path, capsys, bounds):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("family, lo, hi, flag", [
+    ("kay", "2", "1e308", "--to"),  # used to open --out, compute, fail and delete it
+    ("kay", "1.9999999", "10", "--from"),
+    ("ghz3", "0", "1.5", "--to"),
+    ("random", "0", "nan", "--to"),
+])
+def test_out_of_range_bound_leaves_an_existing_out_unchanged(tmp_path, capsys,
+                                                              family, lo, hi, flag):
+    out_path = tmp_path / "existing.csv"
+    out_path.write_bytes(b"kept\n")
+    extra = ["--qubits", "3", "--seed", "1"] if family == "random" else []
+    code, _, err = run(capsys, "sweep", "--family", family, "--from", lo, "--to", hi,
+                       "--steps", "3", "--out", str(out_path), *extra)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag}: ")
+    assert out_path.read_bytes() == b"kept\n"
+
+
 def test_no_convergence_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     path = write_state(tmp_path, lqu.DensityMatrix(3, np.eye(8) / 8))
 

@@ -1,14 +1,17 @@
 import json
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lqu
 from lqu.states import (
+    GAMMA_MAX,
     PURE_FAMILIES,
     DensityMatrix,
     DensityMatrixFormatError,
@@ -90,6 +93,23 @@ def test_mix_rejects_amplitude_length_not_power_of_two(length):
         mix_white_noise(amplitudes, 0.5)
 
 
+def test_mix_rejects_a_non_finite_amplitude_before_the_outer_product():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            mix_white_noise(np.array([np.inf, 0]), 0.1)
+
+
+@pytest.mark.parametrize("matrix, where", [
+    ([[0.5, math.nan], [math.nan, 0.5]], "[0][1]"),  # validate() used to return []
+    ([[math.nan, 0], [0, 1]], "[0][0]"),  # lqu_all used to return Q = 1.0
+    ([[0.5, 0], [0, complex(0.5, math.inf)]], "[1][1]"),
+])
+def test_density_matrix_rejects_non_finite_entries(matrix, where):
+    with pytest.raises(ValueError, match=re.escape(f"matrix{where} is not finite")):
+        DensityMatrix(1, matrix)
+
+
 def test_mix_rejects_out_of_range_noise():
     psi = pure_state("ghz3")
     for bad in (-0.1, 1.1):
@@ -133,9 +153,35 @@ def test_kay_rejects_gamma_whose_normalisation_overflows(gamma):
         kay_state(gamma)
 
 
+@pytest.mark.parametrize("gamma", [1.9999999, -1.0, -2.0, math.nextafter(GAMMA_MAX, math.inf)])
+def test_kay_rejects_gamma_outside_its_range_by_the_parameter_rule(gamma):
+    # Checked on gamma before anything is built: no numpy warning (-1.0 used
+    # to divide by zero), and the message names the range, printing the bound
+    # in full so a rejected gamma never prints equal to it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GammaOutOfRange) as info:
+            kay_state(gamma)
+    message = str(info.value)
+    assert message.startswith(f"gamma = {gamma!r} outside [2, {GAMMA_MAX!r}]")
+    assert repr(gamma) != repr(GAMMA_MAX)
+
+
+def test_gamma_max_is_the_largest_gamma_whose_normalisation_is_finite():
+    assert math.isfinite(8 + 8 * GAMMA_MAX)
+    assert math.isinf(8 + 8 * math.nextafter(GAMMA_MAX, math.inf))
+
+
 @settings(max_examples=30, deadline=None)
-@given(gamma=st.floats(min_value=2.0, max_value=1e6))
+@given(gamma=st.floats(min_value=2.0, max_value=GAMMA_MAX))
+@example(gamma=2.0)
+@example(gamma=GAMMA_MAX)
 def test_kay_valid_on_its_domain(gamma):
+    assert validate(kay_state(gamma)) == []
+
+
+@pytest.mark.parametrize("gamma", np.geomspace(2.0, GAMMA_MAX, 25)[1:-1].tolist())
+def test_kay_valid_at_log_spaced_gammas(gamma):
     assert validate(kay_state(gamma)) == []
 
 
