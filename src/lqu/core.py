@@ -65,14 +65,23 @@ def local_observable(n_qubits: int, qubit_index: int, pauli_index: int) -> np.nd
     return reduce(np.kron, factors)
 
 
-def _correlation_given_sqrt(
-    sqrt_m: np.ndarray, n_qubits: int, qubit_index: int
+def _correlation_given_root(
+    root: np.ndarray, n_qubits: int, qubit_index: int
 ) -> tuple[np.ndarray, float]:
     """The correlation matrix and its largest eigenvalue, after checking that
-    its eigenvalues lie in [0, 1] up to RANGE_TOL."""
+    its eigenvalues lie in [0, 1] up to RANGE_TOL.
+
+    root is a Spectrum's root: S = sqrt(rho), or on the support route its
+    d x r factor F with S = F F^dagger.
+    """
     # Tr[S s_i S s_j] = sum_ab (S s_i)_ab (S s_j)_ba, so three products serve
-    # all six entries.
-    prods = [sqrt_m @ local_observable(n_qubits, qubit_index, p) for p in (1, 2, 3)]
+    # all six entries; with S = F F^dagger it equals
+    # Tr[(F^H s_i F)(F^H s_j F)], the same sum over r x r products.
+    if root.shape[1] < root.shape[0]:
+        root_h = root.conj().T
+        prods = [root_h @ local_observable(n_qubits, qubit_index, p) @ root for p in (1, 2, 3)]
+    else:
+        prods = [root @ local_observable(n_qubits, qubit_index, p) for p in (1, 2, 3)]
     m = np.zeros((3, 3))
     for i in range(3):
         for j in range(i, 3):  # lower triangle follows by symmetry of the trace
@@ -96,11 +105,11 @@ def correlation_matrix(rho: DensityMatrix, qubit_index: int) -> np.ndarray:
     """The real symmetric 3x3 Pauli correlation matrix for measurements on
     one qubit.
 
-    The state's shared sqrt(rho) is reused across all entries (six
-    computed, three mirrored).
+    The state's shared root is reused across all entries (six computed,
+    three mirrored).
     """
     _check_qubit(rho.n_qubits, qubit_index)
-    return _correlation_given_sqrt(rho.spectrum.sqrt(), rho.n_qubits, qubit_index)[0]
+    return _correlation_given_root(rho.spectrum.checked_root(), rho.n_qubits, qubit_index)[0]
 
 
 def _clamp_unit(value: float) -> float:
@@ -109,8 +118,8 @@ def _clamp_unit(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _lqu_given_sqrt(sqrt_m: np.ndarray, n_qubits: int, qubit_index: int) -> float:
-    _, lam_max = _correlation_given_sqrt(sqrt_m, n_qubits, qubit_index)
+def _lqu_given_root(root: np.ndarray, n_qubits: int, qubit_index: int) -> float:
+    _, lam_max = _correlation_given_root(root, n_qubits, qubit_index)
     return _clamp_unit(1.0 - lam_max)
 
 
@@ -122,15 +131,15 @@ def lqu_bipartition(rho: DensityMatrix, qubit_index: int) -> float:
     of a pure qubit with the rest.
     """
     _check_qubit(rho.n_qubits, qubit_index)
-    return _lqu_given_sqrt(rho.spectrum.sqrt(), rho.n_qubits, qubit_index)
+    return _lqu_given_root(rho.spectrum.checked_root(), rho.n_qubits, qubit_index)
 
 
 def lqu_all(rho: DensityMatrix) -> LquReport:
     """Per-bipartition values for every qubit plus their arithmetic mean.
 
-    The state's shared square root serves every qubit; the mean sums in
-    ascending qubit order so results are order-independent.
+    The state's shared root serves every qubit; the mean sums in ascending
+    qubit order so results are order-independent.
     """
-    sqrt_m = rho.spectrum.sqrt()
-    values = tuple(_lqu_given_sqrt(sqrt_m, rho.n_qubits, q) for q in range(rho.n_qubits))
+    root = rho.spectrum.checked_root()
+    values = tuple(_lqu_given_root(root, rho.n_qubits, q) for q in range(rho.n_qubits))
     return LquReport(per_bipartition=values, mean=sum(values) / rho.n_qubits)

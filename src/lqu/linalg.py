@@ -43,17 +43,25 @@ class Spectrum:
     """What the package reads from one eigendecomposition of a matrix.
 
     hermiticity_defect is max |m - m^dagger| of the matrix itself;
-    eigenvalues (ascending) and root belong to its Hermitian part. root is
-    the principal square root with every eigenvalue at or below the rounding
-    floor zeroed; sqrt() hands it out once the contracts hold.
+    eigenvalues (ascending) and root belong to its Hermitian part. The
+    principal square root S zeroes every eigenvalue at or below the rounding
+    floor. root holds S itself, or, when the r eigenvalues above the floor
+    have 2r <= d, the d x r factor F = V_r diag(w_r^(1/4)) with S = F F^dagger
+    (the support route, see low_rank). Once the contracts hold,
+    checked_root() hands out root and sqrt() hands out S.
     """
 
     hermiticity_defect: float
     eigenvalues: np.ndarray
     root: np.ndarray
 
-    def sqrt(self) -> np.ndarray:
-        """Principal square root of a Hermitian PSD matrix.
+    @property
+    def low_rank(self) -> bool:
+        """Whether root is the d x r factor F rather than S."""
+        return self.root.shape[1] < self.root.shape[0]
+
+    def checked_root(self) -> np.ndarray:
+        """root, after checking that the matrix is Hermitian and PSD.
 
         Raises NotHermitian beyond HERMITICITY_TOL and
         NotPositiveSemidefinite for an eigenvalue below -PSD_TOL; smaller
@@ -70,6 +78,16 @@ class Spectrum:
             )
         return self.root
 
+    def sqrt(self) -> np.ndarray:
+        """Principal square root of a Hermitian PSD matrix, under the
+        contracts of checked_root(); formed as F F^dagger on the support
+        route."""
+        root = self.checked_root()
+        if not self.low_rank:
+            return root
+        s = root @ root.conj().T
+        return (s + s.conj().T) / 2
+
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation |m - m^dagger|; inf when it overflows."""
@@ -81,10 +99,12 @@ def spectrum(m) -> Spectrum:
     """Hermiticity defect, eigenvalues and square root from one eigh.
 
     Never raises on a non-Hermitian or non-PSD input, so validation can
-    report such defects as data; Spectrum.sqrt() enforces them. Eigenvalues
-    below dim * eps * max|lambda| are zeroed in the root: for rank-deficient
-    input the eigensolver reports the null space as O(eps) noise, and sqrt
-    would amplify +1e-16 to 1e-8.
+    report such defects as data; Spectrum.checked_root() enforces them.
+    Eigenvalues below dim * eps * max|lambda| are zeroed in the root: for
+    rank-deficient input the eigensolver reports the null space as O(eps)
+    noise, and sqrt would amplify +1e-16 to 1e-8. The r eigenvalues above
+    that floor pick the route: for 2r <= d the root is stored as its d x r
+    factor, whose r x r products with an operator cost less than S's.
     """
     a = np.asarray(m, dtype=complex)
     try:  # on the exactly-Hermitian part, so LAPACK sees clean input; halving
@@ -92,6 +112,11 @@ def spectrum(m) -> Spectrum:
         w, v = np.linalg.eigh(a / 2 + a.conj().T / 2)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
-    floor = w.shape[0] * np.finfo(float).eps * np.abs(w).max(initial=0.0)
-    root = (v * np.sqrt(np.where(w > floor, w, 0.0))) @ v.conj().T
+    d = w.shape[0]
+    floor = d * np.finfo(float).eps * np.abs(w).max(initial=0.0)
+    kept = w > floor
+    rank = int(np.count_nonzero(kept))
+    if 2 * rank <= d:  # ascending, so the support is the last r columns
+        return Spectrum(hermiticity_defect(a), w, v[:, d - rank:] * w[d - rank:] ** 0.25)
+    root = (v * np.sqrt(np.where(kept, w, 0.0))) @ v.conj().T
     return Spectrum(hermiticity_defect(a), w, (root + root.conj().T) / 2)

@@ -8,7 +8,7 @@ from lqu.core import (
     IndexOutOfRange,
     NumericalContractViolation,
     _clamp_unit,
-    _lqu_given_sqrt,
+    _lqu_given_root,
     correlation_matrix,
     local_observable,
     lqu_all,
@@ -151,15 +151,16 @@ def test_pure_state_correlation_is_bloch_outer_product(seed):
         )
 
 
-@pytest.mark.parametrize("rank", ["1", "2", "d"])
+@pytest.mark.parametrize("rank", ["1", "2", "d/2", "d/2+1", "d"])
 @pytest.mark.parametrize("n_qubits", [2, 3, 4, 5, 6])
 def test_correlation_matches_block_gram_partial_trace(n_qubits, rank):
     # rho = U diag(p) U^dagger with a known spectrum, so S = sqrt(rho) needs no
     # eigensolver. With qubit k an explicit index, S splits into blocks S_pq
     # over the other qubits; G[p,q,r,s] = Tr[S_pq S_rs] and
-    # m_ij = sum sigma_i[q,r] sigma_j[s,p] G[p,q,r,s].
+    # m_ij = sum sigma_i[q,r] sigma_j[s,p] G[p,q,r,s]. Ranks d/2 and d/2 + 1
+    # sit on either side of the rule that sends a state to the support route.
     d = 2**n_qubits
-    r = {"1": 1, "2": 2, "d": d}[rank]
+    r = {"1": 1, "2": 2, "d/2": d // 2, "d/2+1": d // 2 + 1, "d": d}[rank]
     seed = 10 * n_qubits + r
     u = haar_unitary(seed, d)
     p = np.zeros(d)
@@ -302,4 +303,4 @@ def test_clamp_snaps_rounding_but_raises_on_real_excursions():
     x0 = np.kron(PAULI["x"], np.eye(4))
     for bad_sqrt in (2 * np.eye(8), 0.1 * x0):
         with pytest.raises(NumericalContractViolation):
-            _lqu_given_sqrt(bad_sqrt, 3, 0)
+            _lqu_given_root(bad_sqrt, 3, 0)

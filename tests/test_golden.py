@@ -50,3 +50,20 @@ def test_random_report_and_dump_match_golden(tmp_path):
 def test_compute_of_golden_dump_matches_golden():
     report = stdout_of(["compute", str(GOLDEN / "random_q5_s7.json")])
     assert report == (GOLDEN / "compute_q5_s7.txt").read_bytes()
+
+
+# Low-rank states, which take the support route in core. rank2_q5.json is
+# 0.7 |random_pure(5, 1)><.| + 0.3 |random_pure(5, 2)><.|, written by
+# save_density_matrix.
+
+def test_pure_random_report_and_dump_match_golden(tmp_path):
+    dump = tmp_path / "dump.json"
+    report = stdout_of(["random", "--qubits", "5", "--seed", "7",
+                        "--pure-fraction", "1", "--dump", str(dump)])
+    assert report == (GOLDEN / "random_pure_q5_s7.txt").read_bytes()
+    assert dump.read_bytes() == (GOLDEN / "random_pure_q5_s7.json").read_bytes()
+
+
+def test_compute_of_rank_two_file_matches_golden():
+    report = stdout_of(["compute", str(GOLDEN / "rank2_q5.json")])
+    assert report == (GOLDEN / "compute_rank2_q5.txt").read_bytes()

@@ -2,14 +2,18 @@
 
 The oracle computes the exact LQU of the float matrix the dense path is
 given: the Hermitian part, mpmath's eighe, the root of the eigenvalues above
-0, then the 3x3 correlation matrix and its eigsy, all at 50 digits. So any
-difference is the dense algorithm's own error, not the input's.
+the dense path's floor d * eps * max|lambda|, then the 3x3 correlation matrix
+and its eigsy, all at 50 digits. So any difference is the dense algorithm's
+own error, not the input's.
 
-Exactly rank-deficient float inputs (p = 0) are left out. Rounding gives
-such an input eigenvalues near +-1e-17 where the exact state has zeros, and
-the exact roots of the positive ones move the input's exact LQU by about
-2.6e-9 (random N=3, seed 5), while the dense path treats them as zeros, as
-it should. The closed-form tests cover p = 0.
+The floor matters only for exactly rank-deficient float inputs (p = 0).
+Rounding gives such an input eigenvalues near +-1e-17 where the exact state
+has zeros, and the exact roots of the positive ones would move the input's
+exact LQU by about 2.6e-9 (random N=3, seed 5). The dense path treats them
+as zeros, as it should, so the oracle does too; every eigenvalue of the
+noisy cases lies far above the floor. The p = 0 states of rank 1 and 2 take
+core's support route (a d x r factor of the root), the others its dense
+route.
 """
 
 import mpmath
@@ -28,7 +32,8 @@ def exact_lqu(matrix, n_qubits):
         a = mpmath.matrix(matrix.tolist())
         a = (a + a.H) / 2
         w, v = mpmath.eighe(a)
-        root = v * mpmath.diag([mpmath.sqrt(x) if x > 0 else 0 for x in w]) * v.H
+        floor = d * np.finfo(float).eps * max(abs(x) for x in w)
+        root = v * mpmath.diag([mpmath.sqrt(x) if x > floor else 0 for x in w]) * v.H
         values = []
         for q in range(n_qubits):
             prods = [root * mpmath.matrix(pauli_on(n_qubits, q, ax).tolist()) for ax in "xyz"]
@@ -54,7 +59,7 @@ def state_of_rank(rank, n_qubits, seed):
 
 
 @pytest.mark.parametrize("noise, tol", [
-    (0.2, 1e-12), (1e-4, 1e-12), (1e-8, 1e-9), (1e-13, 1e-9),
+    (0.0, 1e-12), (0.2, 1e-12), (1e-4, 1e-12), (1e-8, 1e-9), (1e-13, 1e-9),
 ])
 @pytest.mark.parametrize("n_qubits, rank", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 8)])
 def test_dense_path_matches_50_digit_oracle(n_qubits, rank, noise, tol):
@@ -64,3 +69,4 @@ def test_dense_path_matches_50_digit_oracle(n_qubits, rank, noise, tol):
     exact = exact_lqu(m, n_qubits)
     err = max(abs(mpmath.mpf(g) - e) for g, e in zip(got, exact))
     assert err <= tol, f"dense error {mpmath.nstr(err, 3)}"
+

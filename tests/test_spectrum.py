@@ -7,7 +7,7 @@ import lqu
 from lqu import cli
 from lqu.linalg import spectrum
 
-from helpers import random_density
+from helpers import haar_unitary, random_density, rng_for
 
 
 @pytest.fixture
@@ -75,3 +75,71 @@ def test_spectrum_sqrt_enforces_the_contracts():
     assert [v.kind for v in lqu.validate(negative)] == ["PsdViolation"]
     with pytest.raises(lqu.NotPositiveSemidefinite):
         lqu.lqu_all(negative)
+
+
+def test_rank_one_compute_decomposes_the_state_once(tmp_path, capsys, dense_eigs):
+    rho = lqu.mix_white_noise(lqu.random_pure(5, 3), 0.0)
+    assert rho.spectrum.low_rank
+    path = tmp_path / "state.json"
+    lqu.save_density_matrix(rho, path)
+    before = dense_eigs.count(32)
+    assert cli.main(["compute", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
+    assert dense_eigs.count(32) - before == 1
+
+
+def test_sweep_decomposes_each_point_once_on_either_route(tmp_path, dense_eigs):
+    # p = 0 is the pure W state (support route), p = 1 is I/16 (dense root)
+    out = tmp_path / "w4.csv"
+    assert cli.main(["sweep", "--family", "w4", "--from", "0", "--to", "1",
+                     "--steps", "2", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3
+    assert dense_eigs.count(16) == 2
+
+
+def state_of_rank(rank, dim, seed):
+    """U diag(p) U^dagger with exactly `rank` nonzero weights."""
+    u = haar_unitary(seed, dim)
+    p = np.zeros(dim)
+    p[:rank] = rng_for(seed).uniform(0.1, 1.0, rank)
+    return (u * (p / p.sum())) @ u.conj().T
+
+
+@pytest.mark.parametrize("rank", [1, 2, 8, 9, 16])
+def test_root_storage_follows_the_rank(rank):
+    m = state_of_rank(rank, 16, rank)
+    spec = lqu.DensityMatrix(4, m).spectrum
+    s = spec.sqrt()
+    if 2 * rank <= 16:  # the support route keeps a 16 x r factor, no 16 x 16 root
+        assert spec.low_rank and spec.root.shape == (16, rank)
+        np.testing.assert_allclose(spec.root @ spec.root.conj().T, s, rtol=0, atol=1e-14)
+    else:
+        assert not spec.low_rank and spec.root.shape == (16, 16)
+        np.testing.assert_array_equal(s, spec.root)
+    np.testing.assert_array_equal(s, s.conj().T)
+    np.testing.assert_allclose(s @ s, m, rtol=0, atol=1e-13)
+
+
+# A rank-deficient Hermitian part: the checks on the support route raise what
+# the dense route raises, with the same messages.
+_PURE = np.outer([0.6, 0.8j, 0, 0], [0.6, -0.8j, 0, 0])
+_SKEW = 1e-3 * np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+_CONSUMERS = [lqu.lqu_all,
+              lambda rho: lqu.lqu_bipartition(rho, 1),
+              lambda rho: lqu.correlation_matrix(rho, 1)]
+
+
+@pytest.mark.parametrize("consumer", _CONSUMERS,
+                         ids=["lqu_all", "lqu_bipartition", "correlation_matrix"])
+@pytest.mark.parametrize("matrix, error, message", [
+    (_PURE + _SKEW, lqu.NotHermitian,
+     "matrix is not Hermitian: max |m - m^H| = 2.000e-03 > 1.000e-10"),
+    (np.diag([1.1, -0.1, 0, 0]), lqu.NotPositiveSemidefinite,
+     "smallest eigenvalue -1.000e-01 is below -1.000e-08"),
+], ids=["non-hermitian", "non-psd"])
+def test_support_route_keeps_the_contracts(consumer, matrix, error, message):
+    rho = lqu.DensityMatrix(2, matrix)
+    assert rho.spectrum.low_rank
+    with pytest.raises(error) as info:
+        consumer(rho)
+    assert str(info.value) == message
