@@ -10,7 +10,6 @@ test suite, as an independent oracle for this route.
 
 from .analytic import (
     ParamOutOfRange,
-    closed_form_for,
     lqu_ghz3,
     lqu_ghz4_class,
     lqu_kay,
@@ -41,6 +40,7 @@ from .states import (
     UnknownFamily,
     Violation,
     build_state,
+    closed_form_for,
     density_matrix_from_json,
     density_matrix_to_json,
     kay_state,

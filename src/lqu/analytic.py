@@ -3,13 +3,13 @@
 These are the reference values the numeric pipeline is checked against: the
 noisy GHZ/W families for three and four qubits, the Kay family, and the
 four-qubit class (GHZ4, Dicke, four-qubit singlet, cluster, chi) that shares
-a single expression.
+a single expression. The family registry, lqu.states.FAMILIES, pairs each
+family with its formula.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 
 class ParamOutOfRange(ValueError):
@@ -75,22 +75,3 @@ def lqu_w4(eta: float) -> float:
     return 1.0 - (
         8.0 + 21.0 * eta + 3.0 * math.sqrt(eta * (16.0 - 15.0 * eta))
     ) / 32.0
-
-
-# state family -> closed form in the family's own parameter
-CLOSED_FORMS: dict[str, Callable[[float], float]] = {
-    "ghz3": lqu_ghz3,
-    "w3": lqu_w3,
-    "kay": lqu_kay,
-    "ghz4": lqu_ghz4_class,
-    "dicke24": lqu_ghz4_class,
-    "singlet4": lqu_ghz4_class,
-    "cluster4": lqu_ghz4_class,
-    "chi4": lqu_ghz4_class,
-    "w4": lqu_w4,
-}
-
-
-def closed_form_for(family: str) -> Callable[[float], float] | None:
-    """Closed form for a state family, or None when none exists (random)."""
-    return CLOSED_FORMS.get(family)

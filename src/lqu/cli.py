@@ -17,13 +17,13 @@ import sys
 
 import numpy as np
 
-from .analytic import closed_form_for
 from .core import LquReport, NumericalContractViolation, lqu_all
 from .linalg import NoConvergence
 from .states import (
     FAMILY_NAMES,
     build_state,
-    check_param,
+    closed_form_for,
+    family_row,
     load_density_matrix,
     output_file,
     qubit_dimension,
@@ -58,9 +58,10 @@ def _check_sweep(args) -> None:
         raise ValueError(
             f"--from ({args.param_from}) must not exceed --to ({args.param_to})"
         )
+    rule, _, _ = family_row(args.family)
     for name, p in (("--from", args.param_from), ("--to", args.param_to)):
         try:
-            check_param(p, kay=args.family == "kay")
+            rule(p)
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
 

@@ -20,7 +20,7 @@ import numpy as np
 # count, so a fixed band far above double rounding separates rounding dirt
 # from a real defect. README.md ("Tolerances") gives the reason for each.
 HERMITICITY_TOL = 1e-10  # max |m - m^H| of a state
-TRACE_TOL = 1e-10        # |Tr rho - 1|
+TRACE_TOL = 1e-10        # |Tr rho - 1|, and |<psi|psi> - 1| of an amplitude vector
 PSD_TOL = 1e-8           # how far below 0 an eigenvalue of rho may sit
 IMAG_TOL = 1e-10         # imaginary residue of a correlation entry
 RANGE_TOL = 1e-9         # how far correlation eigenvalues may leave [0, 1]

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from json.scanner import make_scanner
-from typing import TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 
+from .analytic import lqu_ghz3, lqu_ghz4_class, lqu_kay, lqu_w3, lqu_w4
 from .linalg import HERMITICITY_TOL, PSD_TOL, TRACE_TOL, Spectrum, spectrum
 
 # Largest qubit count the package accepts, checked by qubit_dimension before
@@ -72,18 +73,21 @@ class GammaOutOfRange(ValueError):
 GAMMA_MAX = float(np.finfo(float).max) / 8
 
 
-def check_param(param: float, kay: bool = False) -> None:
-    """The one rule for a family's parameter, checked before anything is
-    built or opened: the Kay gamma lies in [2, GAMMA_MAX], every other
-    family's white-noise fraction in [0, 1]. NaN and +-inf fail both."""
-    if kay:
-        if not 2.0 <= param <= GAMMA_MAX:
-            raise GammaOutOfRange(
-                f"gamma = {param} outside [2, {GAMMA_MAX!r}]: below 2 the state is "
-                f"not PSD, and above it the trace normalisation 8 + 8 gamma overflows"
-            )
-    elif not 0.0 <= param <= 1.0:
-        raise NoiseOutOfRange(f"noise fraction {param} outside [0, 1]")
+def check_noise(noise: float) -> None:
+    """The rule for a white-noise fraction, checked before anything is built
+    or opened: it lies in [0, 1]. NaN and +-inf fail it."""
+    if not 0.0 <= noise <= 1.0:
+        raise NoiseOutOfRange(f"noise fraction {noise} outside [0, 1]")
+
+
+def check_gamma(gamma: float) -> None:
+    """The rule for the Kay gamma, checked before anything is built or
+    opened: it lies in [2, GAMMA_MAX]. NaN and +-inf fail it."""
+    if not 2.0 <= gamma <= GAMMA_MAX:
+        raise GammaOutOfRange(
+            f"gamma = {gamma} outside [2, {GAMMA_MAX!r}]: below 2 the state is "
+            f"not PSD, and above it the trace normalisation 8 + 8 gamma overflows"
+        )
 
 
 class DensityMatrixFormatError(ValueError):
@@ -139,47 +143,14 @@ class Violation:
         return f"{self.kind}({self.magnitude:.3e})"
 
 
-# family name -> (qubit count, [(basis index, amplitude), ...])
-_SQ6 = math.sqrt(6.0)
-PURE_FAMILIES: dict[str, tuple[int, list[tuple[int, float]]]] = {
-    "ghz3": (3, [(0, 1 / math.sqrt(2)), (7, 1 / math.sqrt(2))]),
-    "w3": (3, [(i, 1 / math.sqrt(3)) for i in (1, 2, 4)]),
-    "ghz4": (4, [(0, 1 / math.sqrt(2)), (15, 1 / math.sqrt(2))]),
-    "w4": (4, [(i, 0.5) for i in (1, 2, 4, 8)]),
-    "dicke24": (4, [(i, 1 / _SQ6) for i in (3, 5, 6, 9, 10, 12)]),
-    "singlet4": (
-        4,
-        [(3, 1 / math.sqrt(3)), (12, 1 / math.sqrt(3))]
-        + [(i, -0.5 / math.sqrt(3)) for i in (5, 6, 9, 10)],
-    ),
-    "cluster4": (4, [(0, 0.5), (3, 0.5), (12, 0.5), (15, -0.5)]),
-    "chi4": (4, [(15, math.sqrt(2) / _SQ6)] + [(i, 1 / _SQ6) for i in (1, 2, 4, 8)]),
-}
-
-FAMILY_NAMES = tuple(PURE_FAMILIES) + ("kay", "random")
-
-
-def pure_state(family: str) -> np.ndarray:
-    """Amplitude vector of one of the named pure families."""
-    try:
-        n, pattern = PURE_FAMILIES[family]
-    except KeyError:
-        raise UnknownFamily(
-            f"unknown pure family {family!r}; choose from {sorted(PURE_FAMILIES)}"
-        ) from None
-    amps = np.zeros(2**n, dtype=complex)
-    for idx, amp in pattern:
-        amps[idx] = amp
-    return amps
-
-
 def mix_white_noise(amplitudes, noise: float) -> DensityMatrix:
     """(1 - noise) |psi><psi| + noise * I / 2^N for the amplitude vector psi.
 
     N is read from the vector's length, which must be 2^N with
-    1 <= N <= MAX_QUBITS, and every amplitude must be finite.
+    1 <= N <= MAX_QUBITS; every amplitude must be finite and <psi|psi>
+    within TRACE_TOL of 1, so the state has unit trace.
     """
-    check_param(noise)
+    check_noise(noise)
     psi = np.asarray(amplitudes, dtype=complex)
     dim = psi.size
     n = dim.bit_length() - 1
@@ -190,6 +161,12 @@ def mix_white_noise(amplitudes, noise: float) -> DensityMatrix:
         )
     if not np.isfinite(psi).all():
         raise ValueError("amplitude vector has a non-finite entry")
+    with np.errstate(over="ignore", invalid="ignore"):  # amplitudes near the float maximum
+        norm2 = float(np.vdot(psi, psi).real)
+    if not abs(norm2 - 1.0) <= TRACE_TOL:  # an overflowed sum may be nan
+        raise ValueError(
+            f"amplitude vector has squared norm {norm2}, not within {TRACE_TOL} of 1"
+        )
     m = (1.0 - noise) * np.outer(psi, psi.conj()) + (noise / dim) * np.eye(dim)
     return DensityMatrix(n_qubits=n, matrix=m)
 
@@ -197,11 +174,11 @@ def mix_white_noise(amplitudes, noise: float) -> DensityMatrix:
 def kay_state(gamma: float) -> DensityMatrix:
     """The one-parameter 8x8 PPT family, valid for 2 <= gamma <= GAMMA_MAX.
 
-    Its smallest eigenvalue is (gamma - 2) / (8 + 8 gamma), so check_param's
+    Its smallest eigenvalue is (gamma - 2) / (8 + 8 gamma), so check_gamma's
     range is exactly where the matrix is a state that floats can hold.
     """
     g = float(gamma)
-    check_param(g, kay=True)
+    check_gamma(g)
     m = np.zeros((8, 8), dtype=complex)
     diag = [4 + g] + [g] * 6 + [4 + g]
     anti = [2, 2, -2, 2, 2, -2, 2, 2]
@@ -241,6 +218,12 @@ def random_pure(n_qubits: int, seed: int) -> np.ndarray:
     return amps
 
 
+def _random_state(noise: float, n_qubits: int | None, seed: int | None) -> DensityMatrix:
+    if n_qubits is None or seed is None:
+        raise ValueError("random family needs n_qubits and seed")
+    return mix_white_noise(random_pure(n_qubits, seed), noise)
+
+
 def validate(rho: DensityMatrix) -> list[Violation]:
     """Check the Hermitian / unit-trace / PSD invariants.
 
@@ -262,6 +245,59 @@ def validate(rho: DensityMatrix) -> list[Violation]:
     return out
 
 
+# The one family registry, in the order the command line lists the families:
+# name -> (parameter rule, state, closed form in the parameter or None).
+# A pure family's state is its amplitude table, (qubit count, [(basis index,
+# amplitude), ...]), mixed with white noise; any other family's state is a
+# builder of (param, n_qubits, seed).
+_SQ2, _SQ3, _SQ6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
+FAMILIES: dict[str, tuple] = {
+    "ghz3": (check_noise, (3, [(0, 1 / _SQ2), (7, 1 / _SQ2)]), lqu_ghz3),
+    "w3": (check_noise, (3, [(i, 1 / _SQ3) for i in (1, 2, 4)]), lqu_w3),
+    "ghz4": (check_noise, (4, [(0, 1 / _SQ2), (15, 1 / _SQ2)]), lqu_ghz4_class),
+    "w4": (check_noise, (4, [(i, 0.5) for i in (1, 2, 4, 8)]), lqu_w4),
+    "dicke24": (check_noise, (4, [(i, 1 / _SQ6) for i in (3, 5, 6, 9, 10, 12)]),
+                lqu_ghz4_class),
+    "singlet4": (check_noise, (4, [(3, 1 / _SQ3), (12, 1 / _SQ3)]
+                               + [(i, -0.5 / _SQ3) for i in (5, 6, 9, 10)]), lqu_ghz4_class),
+    "cluster4": (check_noise, (4, [(0, 0.5), (3, 0.5), (12, 0.5), (15, -0.5)]),
+                 lqu_ghz4_class),
+    "chi4": (check_noise, (4, [(15, _SQ2 / _SQ6)] + [(i, 1 / _SQ6) for i in (1, 2, 4, 8)]),
+             lqu_ghz4_class),
+    "kay": (check_gamma, lambda gamma, n_qubits, seed: kay_state(gamma), lqu_kay),
+    "random": (check_noise, _random_state, None),
+}
+
+FAMILY_NAMES = tuple(FAMILIES)
+
+
+def family_row(family: str) -> tuple:
+    """The registry row of a family: the one place an unknown name is rejected."""
+    try:
+        return FAMILIES[family]
+    except KeyError:
+        raise UnknownFamily(
+            f"unknown family {family!r}; choose from {sorted(FAMILY_NAMES)}"
+        ) from None
+
+
+def pure_state(family: str) -> np.ndarray:
+    """Amplitude vector of one of the pure families."""
+    _, state, _ = family_row(family)
+    if callable(state):
+        raise ValueError(f"family {family!r} has no fixed amplitude vector")
+    n, pattern = state
+    amps = np.zeros(2**n, dtype=complex)
+    for idx, amp in pattern:
+        amps[idx] = amp
+    return amps
+
+
+def closed_form_for(family: str) -> Callable[[float], float] | None:
+    """Closed form for a state family, or None when none exists (random)."""
+    return family_row(family)[2]
+
+
 def build_state(
     family: str, param: float, n_qubits: int | None = None, seed: int | None = None
 ) -> DensityMatrix:
@@ -271,15 +307,10 @@ def build_state(
     gamma parameter for the Kay family. n_qubits and seed apply to the
     'random' family only.
     """
-    if family == "kay":
-        return kay_state(param)
-    if family == "random":
-        if n_qubits is None or seed is None:
-            raise ValueError("random family needs n_qubits and seed")
-        return mix_white_noise(random_pure(n_qubits, seed), param)
-    if family in PURE_FAMILIES:
-        return mix_white_noise(pure_state(family), param)
-    raise UnknownFamily(f"unknown family {family!r}; choose from {sorted(FAMILY_NAMES)}")
+    _, state, _ = family_row(family)
+    if callable(state):
+        return state(param, n_qubits, seed)
+    return mix_white_noise(pure_state(family), param)
 
 
 # --- density-matrix JSON format -------------------------------------------

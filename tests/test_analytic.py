@@ -6,7 +6,6 @@ import pytest
 
 from lqu.analytic import (
     ParamOutOfRange,
-    closed_form_for,
     lqu_ghz3,
     lqu_ghz4_class,
     lqu_kay,
@@ -14,8 +13,28 @@ from lqu.analytic import (
     lqu_w4,
     w3_correlation_eigenvalues,
 )
-from lqu.core import lqu_bipartition
-from lqu.states import kay_state, mix_white_noise, pure_state
+from lqu.core import lqu_all, lqu_bipartition
+from lqu.states import (
+    FAMILIES,
+    FAMILY_NAMES,
+    GAMMA_MAX,
+    GammaOutOfRange,
+    NoiseOutOfRange,
+    build_state,
+    check_gamma,
+    check_noise,
+    closed_form_for,
+    kay_state,
+    mix_white_noise,
+    pure_state,
+    validate,
+)
+
+# parameter rule -> (its least and largest value, the error beyond them)
+RULE_ENDS = {
+    check_noise: (0.0, 1.0, NoiseOutOfRange),
+    check_gamma: (2.0, GAMMA_MAX, GammaOutOfRange),
+}
 
 
 def test_ghz3_values():
@@ -103,11 +122,27 @@ def test_noise_formulas_strictly_decreasing(fn):
 
 
 def test_closed_form_registry():
-    assert closed_form_for("ghz3") is lqu_ghz3
-    for family in ("ghz4", "dicke24", "singlet4", "cluster4", "chi4"):
-        assert closed_form_for(family) is lqu_ghz4_class
-    assert closed_form_for("w4") is lqu_w4
-    assert closed_form_for("random") is None
+    # Every row of the registry: its state builds at both ends of its rule,
+    # fails just beyond them with the rule's error, and every family but
+    # random has a closed form that lqu_all meets on a grid over the rule.
+    for family in FAMILY_NAMES:
+        rule, _, formula = FAMILIES[family]
+        lo, hi, error = RULE_ENDS[rule]
+        for p in (lo, hi):
+            assert validate(build_state(family, p, n_qubits=3, seed=7)) == []
+        for p in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+            with pytest.raises(error):
+                rule(p)
+            with pytest.raises(error):
+                build_state(family, p, n_qubits=3, seed=7)
+        assert closed_form_for(family) is formula
+        assert (formula is None) == (family == "random")
+        if formula is None:
+            continue
+        for p in np.linspace(lo, hi, 5):
+            report = lqu_all(build_state(family, float(p)))
+            for q in (*report.per_bipartition, report.mean):
+                assert q == pytest.approx(formula(float(p)), abs=1e-8), (family, p)
 
 
 @pytest.mark.parametrize("family", ["ghz3", "w3", "ghz4", "w4"])

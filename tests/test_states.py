@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -10,9 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lqu
+from lqu.cli import build_parser
 from lqu.states import (
+    FAMILIES,
+    FAMILY_NAMES,
     GAMMA_MAX,
-    PURE_FAMILIES,
     DensityMatrix,
     DensityMatrixFormatError,
     GammaOutOfRange,
@@ -32,6 +35,9 @@ from helpers import reduced_single_qubit
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
+# the families whose registry row holds an amplitude table
+PURE_FAMILIES = sorted(name for name, (_, state, _) in FAMILIES.items() if not callable(state))
+
 S2, S3, S6 = math.sqrt(2), math.sqrt(3), math.sqrt(6)
 
 # family -> {basis index: amplitude}
@@ -48,7 +54,7 @@ EXPECTED_AMPLITUDES = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(PURE_FAMILIES))
+@pytest.mark.parametrize("family", PURE_FAMILIES)
 def test_pure_family_amplitudes(family):
     psi = pure_state(family)
     expected = np.zeros(len(psi), dtype=complex)
@@ -100,6 +106,25 @@ def test_mix_rejects_a_non_finite_amplitude_before_the_outer_product():
             mix_white_noise(np.array([np.inf, 0]), 0.1)
 
 
+@pytest.mark.parametrize("amplitudes, norm2", [
+    ([3.0, 0], "9.0"),  # used to build a matrix of trace 8.2
+    ([1e200, 0], "inf"),  # used to warn of an overflow in the outer product
+])
+def test_mix_rejects_an_amplitude_vector_that_is_not_unit_norm(amplitudes, norm2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            mix_white_noise(amplitudes, 0.1)
+    assert str(info.value) == f"amplitude vector has squared norm {norm2}, not within 1e-10 of 1"
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 11))
+def test_mix_accepts_every_random_pure_vector(n_qubits):
+    for seed in range(3):
+        rho = mix_white_noise(random_pure(n_qubits, seed), 0.5)
+        assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("matrix, where", [
     ([[0.5, math.nan], [math.nan, 0.5]], "[0][1]"),  # validate() used to return []
     ([[math.nan, 0], [0, 1]], "[0][0]"),  # lqu_all used to return Q = 1.0
@@ -119,7 +144,7 @@ def test_mix_rejects_out_of_range_noise():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    family=st.sampled_from(sorted(PURE_FAMILIES)),
+    family=st.sampled_from(PURE_FAMILIES),
     noise=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_mix_is_affine_in_the_spectrum(family, noise):
@@ -284,15 +309,31 @@ def test_validate_reports_hermiticity_violation():
     assert "HermiticityViolation" in kinds
 
 
-@pytest.mark.parametrize("family", sorted(PURE_FAMILIES))
+@pytest.mark.parametrize("family", PURE_FAMILIES)
 def test_reduced_single_qubit_states_are_diagonal(family):
     psi = pure_state(family)
-    n_qubits = PURE_FAMILIES[family][0]
+    n_qubits = len(psi).bit_length() - 1
     proj = np.outer(psi, psi.conj())
     for q in range(n_qubits):
         red = reduced_single_qubit(proj, n_qubits, q)
         assert abs(red[0, 1]) < 1e-14
         assert np.trace(red).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_family_names_are_pinned_and_are_the_sweep_choices():
+    # The order is part of the bytes argparse prints for a bad --family.
+    assert FAMILY_NAMES == ("ghz3", "w3", "ghz4", "w4", "dicke24", "singlet4",
+                            "cluster4", "chi4", "kay", "random")
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    family = next(a for a in sub.choices["sweep"]._actions if a.dest == "family")
+    assert tuple(family.choices) == FAMILY_NAMES
+
+
+def test_pure_state_rejects_a_family_without_an_amplitude_table():
+    for family in ("kay", "random"):
+        with pytest.raises(ValueError, match="no fixed amplitude vector"):
+            pure_state(family)
 
 
 def test_build_state_covers_every_family():
