@@ -22,6 +22,8 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {1: PAULI_X, 2: PAULI_Y, 3: PAULI_Z}
 IDENTITY_2 = np.eye(2, dtype=complex)
+_Y_PHASES = np.array([-1j, 1j]).reshape(1, 2, 1)  # PAULI_Y's nonzero entries, by row
+_Z_SIGNS = np.array([1.0, -1.0]).reshape(1, 2, 1)
 
 
 class IndexOutOfRange(IndexError):
@@ -76,10 +78,16 @@ def _correlation_given_root(
     """
     # Tr[S s_i S s_j] = sum_ab (S s_i)_ab (S s_j)_ba, so three products serve
     # all six entries; with S = F F^dagger it equals
-    # Tr[(F^H s_i F)(F^H s_j F)], the same sum over r x r products.
+    # Tr[(F^H s_i F)(F^H s_j F)], the same sum over r x r products. There
+    # F^H s_i F = (s_i F)^H F, and s_i F is formed by indexing F's rows, with
+    # qubit k's bit as axis 1: s_x swaps the two halves, s_y swaps them and
+    # multiplies by (-i, i), s_z multiplies by (1, -1). No 2^N x 2^N operator
+    # is built.
     if root.shape[1] < root.shape[0]:
-        root_h = root.conj().T
-        prods = [root_h @ local_observable(n_qubits, qubit_index, p) @ root for p in (1, 2, 3)]
+        halves = root.reshape(2**qubit_index, 2, -1)
+        flipped = halves[:, ::-1]
+        prods = [s_f.conj().reshape(root.shape).T @ root
+                 for s_f in (flipped, flipped * _Y_PHASES, halves * _Z_SIGNS)]
     else:
         prods = [root @ local_observable(n_qubits, qubit_index, p) for p in (1, 2, 3)]
     m = np.zeros((3, 3))

@@ -48,7 +48,7 @@ class Spectrum:
     floor. root holds S itself, or, when the r eigenvalues above the floor
     have 2r <= d, the d x r factor F = V_r diag(w_r^(1/4)) with S = F F^dagger
     (the support route, see low_rank). Once the contracts hold,
-    checked_root() hands out root and sqrt() hands out S.
+    checked_root() hands out root.
     """
 
     hermiticity_defect: float
@@ -77,16 +77,6 @@ class Spectrum:
                 f"smallest eigenvalue {self.eigenvalues[0]:.3e} is below -{PSD_TOL:.3e}"
             )
         return self.root
-
-    def sqrt(self) -> np.ndarray:
-        """Principal square root of a Hermitian PSD matrix, under the
-        contracts of checked_root(); formed as F F^dagger on the support
-        route."""
-        root = self.checked_root()
-        if not self.low_rank:
-            return root
-        s = root @ root.conj().T
-        return (s + s.conj().T) / 2
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -3,7 +3,8 @@ skew-information oracles and a per-entry reference parser for the
 density-matrix JSON format.
 
 Everything here is deliberately independent of the library internals so it
-can serve as an oracle for them.
+can serve as an oracle for them. The one exception is root_matrix, which
+forms S = sqrt(rho) from a Spectrum's checked root for the tests of S.
 """
 
 import json
@@ -69,6 +70,17 @@ def bloch_vector(matrix, n_qubits, qubit):
 def pauli_on(n_qubits, qubit, axis):
     """Pauli axis ("x", "y" or "z") on one qubit, identity on the rest."""
     return np.kron(np.kron(np.eye(2**qubit), PAULI[axis]), np.eye(2 ** (n_qubits - qubit - 1)))
+
+
+def root_matrix(spec):
+    """S = sqrt(rho) from a Spectrum, under the contracts checked_root()
+    enforces: the stored root itself, or F F^dagger (made exactly
+    Hermitian) for the d x r factor F of the support route."""
+    root = spec.checked_root()
+    if root.shape[1] == root.shape[0]:
+        return root
+    s = root @ root.conj().T
+    return (s + s.conj().T) / 2
 
 
 def _skew_terms(rho, k_batch):

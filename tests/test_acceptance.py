@@ -15,7 +15,14 @@ import lqu
 from lqu import cli
 from lqu.linalg import spectrum
 
-from helpers import haar_unitary, lqu_variational, random_density, random_psd, rng_for
+from helpers import (
+    haar_unitary,
+    lqu_variational,
+    random_density,
+    random_psd,
+    rng_for,
+    root_matrix,
+)
 
 GAMMA_SET = (2.0, 2.5, 2 * math.sqrt(2), 3.0, 5.0, 10.0, 100.0)
 FOUR_QUBIT_CLASS = ("ghz4", "dicke24", "singlet4", "cluster4", "chi4")
@@ -159,7 +166,7 @@ def test_criterion_7_invariance_suite():
     # square-root round trip
     for seed in range(10):
         m = random_psd(300 + seed, 8)
-        s = spectrum(m).sqrt()
+        s = root_matrix(spectrum(m))
         assert np.linalg.norm(s @ s - m) / np.linalg.norm(m) <= 1e-9
 
 

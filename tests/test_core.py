@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from lqu.states import DensityMatrix, mix_white_noise, pure_state, random_pure
 from helpers import (
     PAULI,
     bloch_vector,
+    complex_gaussian,
     haar_unitary,
     lqu_variational,
     pauli_on,
@@ -177,6 +180,54 @@ def test_correlation_matches_block_gram_partial_trace(n_qubits, rank):
         np.testing.assert_allclose(
             correlation_matrix(rho, k), expected.real, rtol=0, atol=1e-12
         )
+
+
+@pytest.mark.parametrize("rank", ["1", "2", "d/2"])
+@pytest.mark.parametrize("n_qubits", [2, 3, 4, 5, 6])
+def test_support_route_builds_no_local_observable(monkeypatch, n_qubits, rank):
+    # The support route applies each Pauli to the factor's rows by index; with
+    # the d x d builder disabled it still meets the block-Gram oracle above.
+    def fail(*_):
+        raise AssertionError("local_observable called on the support route")
+
+    monkeypatch.setattr(lqu.core, "local_observable", fail)
+    d = 2**n_qubits
+    r = {"1": 1, "2": 2, "d/2": d // 2}[rank]
+    seed = 10 * n_qubits + r + 5
+    u = haar_unitary(seed, d)
+    p = np.zeros(d)
+    p[:r] = rng_for(seed).uniform(0.1, 1.0, r)
+    p /= p.sum()
+    rho = dm((u * p) @ u.conj().T, n_qubits)
+    assert rho.spectrum.low_rank
+    s = (u * np.sqrt(p)) @ u.conj().T
+    sigma = np.stack([PAULI[a] for a in "xyz"])
+    report = lqu_all(rho)
+    for k in range(n_qubits):
+        blocks = s.reshape(2**k, 2, 2 ** (n_qubits - k - 1), 2**k, 2, -1)
+        gram = np.einsum("apbcqe,creasb->pqrs", blocks, blocks)
+        expected = np.einsum("iqr,jsp,pqrs->ij", sigma, sigma, gram).real
+        q = 1.0 - np.linalg.eigvalsh(expected)[-1]
+        np.testing.assert_allclose(correlation_matrix(rho, k), expected, rtol=0, atol=1e-12)
+        assert lqu_bipartition(rho, k) == pytest.approx(q, rel=0, abs=1e-12)
+        assert report.per_bipartition[k] == pytest.approx(q, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 8])
+def test_support_route_peak_memory_stays_below_a_quarter_of_a_state(rank):
+    # N = 9: one complex d x d matrix is 4 MiB, the d x r factor 8 to 64 KiB.
+    # The spectrum is formed before tracing.
+    d = 2**9
+    g = complex_gaussian(rng_for(rank), (d, rank))
+    rho = dm(g @ g.conj().T / np.linalg.norm(g) ** 2, 9)
+    assert rho.spectrum.low_rank
+    tracemalloc.start()
+    try:
+        lqu_all(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 16 * d * d
 
 
 # --- the bridge between the two routes --------------------------------------

@@ -12,7 +12,7 @@ from lqu.linalg import (
     spectrum,
 )
 
-from helpers import random_hermitian, random_psd
+from helpers import random_hermitian, random_psd, root_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -38,17 +38,17 @@ def test_eig_pauli_x():
 def test_eig_rejects_non_hermitian():
     m = np.array([[0, 1], [0, 0]], dtype=complex)
     assert spectrum(m).hermiticity_defect == 1.0  # reported as data ...
-    with pytest.raises(NotHermitian):  # ... and enforced by sqrt()
-        spectrum(m).sqrt()
+    with pytest.raises(NotHermitian):  # ... and enforced by checked_root()
+        spectrum(m).checked_root()
 
 
 def test_eig_tolerance_is_respected():
     def with_defect(defect):
         return np.array([[1.0, defect], [0.0, 1.0]], dtype=complex)
 
-    spectrum(with_defect(0.5 * HERMITICITY_TOL)).sqrt()  # inside tolerance
+    spectrum(with_defect(0.5 * HERMITICITY_TOL)).checked_root()  # inside tolerance
     with pytest.raises(NotHermitian):
-        spectrum(with_defect(2 * HERMITICITY_TOL)).sqrt()
+        spectrum(with_defect(2 * HERMITICITY_TOL)).checked_root()
 
 
 def test_eig_maps_solver_failure_to_no_convergence(monkeypatch):
@@ -83,32 +83,32 @@ def test_eig_eigenvalue_sum_equals_trace(seed, dim):
 
 
 def test_sqrt_identity():
-    np.testing.assert_allclose(spectrum(np.eye(8)).sqrt(), np.eye(8), atol=1e-14)
+    np.testing.assert_allclose(root_matrix(spectrum(np.eye(8))), np.eye(8), atol=1e-14)
 
 
 def test_sqrt_diagonal():
-    got = spectrum(np.diag([4.0, 0.0, 0.0, 0.0])).sqrt()
+    got = root_matrix(spectrum(np.diag([4.0, 0.0, 0.0, 0.0])))
     np.testing.assert_allclose(got, np.diag([2.0, 0.0, 0.0, 0.0]), atol=1e-14)
 
 
 def test_sqrt_projector_is_idempotent():
     v = np.array([1, 1j, -1, 2]) / np.sqrt(7)
     p = np.outer(v, v.conj())
-    np.testing.assert_allclose(spectrum(p).sqrt(), p, atol=1e-12)
+    np.testing.assert_allclose(root_matrix(spectrum(p)), p, atol=1e-12)
 
 
 def test_sqrt_clamps_rounding_dirt_but_rejects_real_negativity():
     near = np.diag([1.0, -0.5 * PSD_TOL])
-    got = spectrum(near).sqrt()
+    got = root_matrix(spectrum(near))
     np.testing.assert_allclose(got, np.diag([1.0, 0.0]), atol=1e-12)
     with pytest.raises(NotPositiveSemidefinite):
-        spectrum(np.diag([1.0, -2 * PSD_TOL])).sqrt()
+        spectrum(np.diag([1.0, -2 * PSD_TOL])).checked_root()
 
 
 @settings(max_examples=50, deadline=None)
 @given(seed=seeds, dim=dims)
 def test_sqrt_squares_back(seed, dim):
     m = random_psd(seed, dim)
-    s = spectrum(m).sqrt()
+    s = root_matrix(spectrum(m))
     assert np.abs(s - s.conj().T).max() < 1e-12
     assert np.linalg.norm(s @ s - m) / np.linalg.norm(m) < 1e-9
