@@ -26,16 +26,13 @@ from .core import (
     lqu_all,
     lqu_bipartition,
 )
-from .linalg import (
-    NoConvergence,
-    NotHermitian,
-    NotPositiveSemidefinite,
-)
+from .linalg import NoConvergence
 from .states import (
     FAMILY_NAMES,
     DensityMatrix,
     DensityMatrixFormatError,
     GammaOutOfRange,
+    InvalidDensityMatrix,
     NoiseOutOfRange,
     UnknownFamily,
     Violation,
@@ -58,11 +55,10 @@ __all__ = [
     "FAMILY_NAMES",
     "GammaOutOfRange",
     "IndexOutOfRange",
+    "InvalidDensityMatrix",
     "LquReport",
     "NoConvergence",
     "NoiseOutOfRange",
-    "NotHermitian",
-    "NotPositiveSemidefinite",
     "NumericalContractViolation",
     "ParamOutOfRange",
     "UnknownFamily",

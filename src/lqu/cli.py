@@ -21,6 +21,7 @@ from .core import LquReport, NumericalContractViolation, lqu_all
 from .linalg import NoConvergence
 from .states import (
     FAMILY_NAMES,
+    InvalidDensityMatrix,
     build_state,
     closed_form_for,
     family_row,
@@ -28,7 +29,6 @@ from .states import (
     output_file,
     qubit_dimension,
     save_density_matrix,
-    validate,
 )
 
 
@@ -74,11 +74,11 @@ def _report_lines(report: LquReport) -> list[str]:
 
 def cmd_compute(args) -> int:
     rho = load_density_matrix(args.file)
-    violations = validate(rho)
-    if violations:
-        detail = ", ".join(str(v) for v in violations)
-        raise ValueError(f"{args.file} is not a valid density matrix: {detail}")
-    for line in _report_lines(lqu_all(rho)):
+    try:
+        report = lqu_all(rho)
+    except InvalidDensityMatrix as exc:
+        raise ValueError(f"{args.file} is {exc}") from None
+    for line in _report_lines(report):
         print(line)
     return 0
 

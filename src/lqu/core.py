@@ -5,6 +5,9 @@ For one measured qubit k the 3x3 matrix holds
 Tr[sqrt(rho) sigma_i^(k) sqrt(rho) sigma_j^(k)], i,j over x,y,z, with the
 Pauli acting on qubit k and identity elsewhere. The bipartition value is one
 minus the largest eigenvalue of that matrix.
+
+Every consumer reads the state's root through states.valid_root, so a state
+that validate rejects raises InvalidDensityMatrix.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from functools import reduce
 import numpy as np
 
 from .linalg import IMAG_TOL, RANGE_TOL
-from .states import DensityMatrix, qubit_dimension
+from .states import DensityMatrix, qubit_dimension, valid_root
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -117,7 +120,7 @@ def correlation_matrix(rho: DensityMatrix, qubit_index: int) -> np.ndarray:
     three mirrored).
     """
     _check_qubit(rho.n_qubits, qubit_index)
-    return _correlation_given_root(rho.spectrum.checked_root(), rho.n_qubits, qubit_index)[0]
+    return _correlation_given_root(valid_root(rho), rho.n_qubits, qubit_index)[0]
 
 
 def _clamp_unit(value: float) -> float:
@@ -139,7 +142,7 @@ def lqu_bipartition(rho: DensityMatrix, qubit_index: int) -> float:
     of a pure qubit with the rest.
     """
     _check_qubit(rho.n_qubits, qubit_index)
-    return _lqu_given_root(rho.spectrum.checked_root(), rho.n_qubits, qubit_index)
+    return _lqu_given_root(valid_root(rho), rho.n_qubits, qubit_index)
 
 
 def lqu_all(rho: DensityMatrix) -> LquReport:
@@ -148,6 +151,6 @@ def lqu_all(rho: DensityMatrix) -> LquReport:
     The state's shared root serves every qubit; the mean sums in ascending
     qubit order so results are order-independent.
     """
-    root = rho.spectrum.checked_root()
+    root = valid_root(rho)
     values = tuple(_lqu_given_root(root, rho.n_qubits, q) for q in range(rho.n_qubits))
     return LquReport(per_bipartition=values, mean=sum(values) / rho.n_qubits)

@@ -2,8 +2,8 @@
 
 Everything here operates on square numpy arrays of complex128. The heavy
 lifting (eigendecomposition) is delegated to LAPACK via numpy; this module
-adds the Hermiticity/positivity contracts the rest of the package relies on,
-and holds the package's one table of numerical tolerances.
+measures what states.validate checks, and holds the package's one table of
+numerical tolerances.
 """
 
 from __future__ import annotations
@@ -26,16 +26,8 @@ IMAG_TOL = 1e-10         # imaginary residue of a correlation entry
 RANGE_TOL = 1e-9         # how far correlation eigenvalues may leave [0, 1]
 
 
-class NotHermitian(ValueError):
-    """Input matrix deviates from its conjugate transpose beyond tolerance."""
-
-
 class NoConvergence(ArithmeticError):
     """Eigensolver failed to converge."""
-
-
-class NotPositiveSemidefinite(ValueError):
-    """Matrix has an eigenvalue below the allowed negative tolerance."""
 
 
 @dataclass(frozen=True)
@@ -47,36 +39,13 @@ class Spectrum:
     principal square root S zeroes every eigenvalue at or below the rounding
     floor. root holds S itself, or, when the r eigenvalues above the floor
     have 2r <= d, the d x r factor F = V_r diag(w_r^(1/4)) with S = F F^dagger
-    (the support route, see low_rank). Once the contracts hold,
-    checked_root() hands out root.
+    (the support route). A plain record: states.validate judges the
+    invariants, and states.valid_root hands out root once they hold.
     """
 
     hermiticity_defect: float
     eigenvalues: np.ndarray
     root: np.ndarray
-
-    @property
-    def low_rank(self) -> bool:
-        """Whether root is the d x r factor F rather than S."""
-        return self.root.shape[1] < self.root.shape[0]
-
-    def checked_root(self) -> np.ndarray:
-        """root, after checking that the matrix is Hermitian and PSD.
-
-        Raises NotHermitian beyond HERMITICITY_TOL and
-        NotPositiveSemidefinite for an eigenvalue below -PSD_TOL; smaller
-        negative eigenvalues are rounding dirt and count as zero.
-        """
-        if self.hermiticity_defect > HERMITICITY_TOL:
-            raise NotHermitian(
-                f"matrix is not Hermitian: max |m - m^H| = "
-                f"{self.hermiticity_defect:.3e} > {HERMITICITY_TOL:.3e}"
-            )
-        if self.eigenvalues[0] < -PSD_TOL:
-            raise NotPositiveSemidefinite(
-                f"smallest eigenvalue {self.eigenvalues[0]:.3e} is below -{PSD_TOL:.3e}"
-            )
-        return self.root
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -89,7 +58,7 @@ def spectrum(m) -> Spectrum:
     """Hermiticity defect, eigenvalues and square root from one eigh.
 
     Never raises on a non-Hermitian or non-PSD input, so validation can
-    report such defects as data; Spectrum.checked_root() enforces them.
+    report such defects as data.
     Eigenvalues below dim * eps * max|lambda| are zeroed in the root: for
     rank-deficient input the eigensolver reports the null space as O(eps)
     noise, and sqrt would amplify +1e-16 to 1e-8. The r eigenvalues above

@@ -143,6 +143,16 @@ class Violation:
         return f"{self.kind}({self.magnitude:.3e})"
 
 
+class InvalidDensityMatrix(ValueError):
+    """A state fails validate; .violations is what validate returned."""
+
+    def __init__(self, violations: list[Violation]):
+        self.violations = violations
+        super().__init__(
+            "not a valid density matrix: " + ", ".join(str(v) for v in violations)
+        )
+
+
 def mix_white_noise(amplitudes, noise: float) -> DensityMatrix:
     """(1 - noise) |psi><psi| + noise * I / 2^N for the amplitude vector psi.
 
@@ -243,6 +253,15 @@ def validate(rho: DensityMatrix) -> list[Violation]:
     if w0 < -PSD_TOL:
         out.append(Violation("PsdViolation", float(-w0)))
     return out
+
+
+def valid_root(rho: DensityMatrix) -> np.ndarray:
+    """The root of rho's spectrum, once validate finds no violation; the
+    only way core reads it. Raises InvalidDensityMatrix otherwise."""
+    violations = validate(rho)
+    if violations:
+        raise InvalidDensityMatrix(violations)
+    return rho.spectrum.root
 
 
 # The one family registry, in the order the command line lists the families:

@@ -3,14 +3,19 @@ skew-information oracles and a per-entry reference parser for the
 density-matrix JSON format.
 
 Everything here is deliberately independent of the library internals so it
-can serve as an oracle for them. The one exception is root_matrix, which
-forms S = sqrt(rho) from a Spectrum's checked root for the tests of S.
+can serve as an oracle for them. The two exceptions are root_matrix, which
+forms S = sqrt(rho) from a Spectrum's root for the tests of S, and
+agreed_violations, which holds the core consumers to validate's rule.
 """
 
+import ast
 import json
 import math
 
 import numpy as np
+import pytest
+
+import lqu
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -73,14 +78,39 @@ def pauli_on(n_qubits, qubit, axis):
 
 
 def root_matrix(spec):
-    """S = sqrt(rho) from a Spectrum, under the contracts checked_root()
-    enforces: the stored root itself, or F F^dagger (made exactly
-    Hermitian) for the d x r factor F of the support route."""
-    root = spec.checked_root()
+    """S = sqrt(rho) from a Spectrum: the stored root itself, or F F^dagger
+    (made exactly Hermitian) for the d x r factor F of the support route."""
+    root = spec.root
     if root.shape[1] == root.shape[0]:
         return root
     s = root @ root.conj().T
     return (s + s.conj().T) / 2
+
+
+def agreed_violations(rho):
+    """validate(rho), after checking that the three core consumers follow
+    it: each returns when the list is empty, and otherwise raises
+    InvalidDensityMatrix carrying exactly that list."""
+    expected = lqu.validate(rho)
+    for consume in (lqu.lqu_all,
+                    lambda r: lqu.lqu_bipartition(r, 0),
+                    lambda r: lqu.correlation_matrix(r, 0)):
+        if not expected:
+            consume(rho)
+            continue
+        with pytest.raises(lqu.InvalidDensityMatrix) as info:
+            consume(rho)
+        assert info.value.violations == expected
+    return expected
+
+
+def assigned_list(path, name):
+    """The literal value a module assigns to name at top level, read as
+    source, so the module is neither run nor imported."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path} assigns no {name}")
 
 
 def _skew_terms(rho, k_batch):

@@ -14,12 +14,19 @@ import pytest
 
 from lqu import cli
 
-GOLDEN = pathlib.Path(__file__).parent / "golden"
+from helpers import assigned_list
 
+TESTS = pathlib.Path(__file__).parent
+GOLDEN = TESTS / "golden"
+
+# curve_<family>.csv are the paper's curves on scripts/make_curve_data.py's
+# own grid, read from its SWEEPS list.
 SWEEPS = {
     "sweep_ghz3.csv": ("ghz3", "0", "1", "11"),
     "sweep_w4.csv": ("w4", "0", "1", "11"),
     "sweep_kay.csv": ("kay", "2", "10", "9"),
+    **{f"curve_{row[0]}.csv": row
+       for row in assigned_list(TESTS.parent / "scripts" / "make_curve_data.py", "SWEEPS")},
 }
 
 

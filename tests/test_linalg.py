@@ -3,16 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqu.linalg import (
-    HERMITICITY_TOL,
-    PSD_TOL,
-    NoConvergence,
-    NotHermitian,
-    NotPositiveSemidefinite,
-    spectrum,
-)
+import lqu
+from lqu import DensityMatrix, Violation
+from lqu.linalg import HERMITICITY_TOL, PSD_TOL, NoConvergence, spectrum
 
-from helpers import random_hermitian, random_psd, root_matrix
+from helpers import agreed_violations, random_hermitian, random_psd, root_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -36,19 +31,19 @@ def test_eig_pauli_x():
 
 
 def test_eig_rejects_non_hermitian():
-    m = np.array([[0, 1], [0, 0]], dtype=complex)
+    m = np.array([[0.5, 1], [0, 0.5]], dtype=complex)
     assert spectrum(m).hermiticity_defect == 1.0  # reported as data ...
-    with pytest.raises(NotHermitian):  # ... and enforced by checked_root()
-        spectrum(m).checked_root()
+    # ... and rejected by validate and every consumer
+    assert agreed_violations(DensityMatrix(1, m)) == [Violation("HermiticityViolation", 1.0)]
 
 
 def test_eig_tolerance_is_respected():
     def with_defect(defect):
-        return np.array([[1.0, defect], [0.0, 1.0]], dtype=complex)
+        return DensityMatrix(1, np.array([[0.5, defect], [0.0, 0.5]]))
 
-    spectrum(with_defect(0.5 * HERMITICITY_TOL)).checked_root()  # inside tolerance
-    with pytest.raises(NotHermitian):
-        spectrum(with_defect(2 * HERMITICITY_TOL)).checked_root()
+    assert agreed_violations(with_defect(0.5 * HERMITICITY_TOL)) == []  # inside tolerance
+    assert agreed_violations(with_defect(2 * HERMITICITY_TOL)) == [
+        Violation("HermiticityViolation", 2 * HERMITICITY_TOL)]
 
 
 def test_eig_maps_solver_failure_to_no_convergence(monkeypatch):
@@ -98,11 +93,16 @@ def test_sqrt_projector_is_idempotent():
 
 
 def test_sqrt_clamps_rounding_dirt_but_rejects_real_negativity():
-    near = np.diag([1.0, -0.5 * PSD_TOL])
-    got = root_matrix(spectrum(near))
-    np.testing.assert_allclose(got, np.diag([1.0, 0.0]), atol=1e-12)
-    with pytest.raises(NotPositiveSemidefinite):
-        spectrum(np.diag([1.0, -2 * PSD_TOL])).checked_root()
+    def with_eigenvalue(w):
+        return DensityMatrix(1, np.diag([1.0 - w, w]))
+
+    near = with_eigenvalue(-0.5 * PSD_TOL)
+    # validate alone here: the state's one qubit is pure, so the correlation
+    # of the clamped root reaches 1 + 0.5 * PSD_TOL, beyond RANGE_TOL
+    assert lqu.validate(near) == []
+    np.testing.assert_allclose(root_matrix(near.spectrum), np.diag([1.0, 0.0]), atol=1e-12)
+    assert agreed_violations(with_eigenvalue(-2 * PSD_TOL)) == [
+        Violation("PsdViolation", 2 * PSD_TOL)]
 
 
 @settings(max_examples=50, deadline=None)

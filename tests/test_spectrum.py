@@ -7,7 +7,7 @@ import lqu
 from lqu import cli
 from lqu.linalg import spectrum
 
-from helpers import haar_unitary, random_density, rng_for, root_matrix
+from helpers import agreed_violations, haar_unitary, random_density, rng_for, root_matrix
 
 
 @pytest.fixture
@@ -67,19 +67,19 @@ def test_stored_matrix_is_a_read_only_copy():
 
 
 def test_spectrum_sqrt_enforces_the_contracts():
-    skew = lqu.DensityMatrix(1, np.array([[0.5, 1e-3], [0.0, 0.5]]))
-    assert [v.kind for v in lqu.validate(skew)] == ["HermiticityViolation"]
-    with pytest.raises(lqu.NotHermitian):
-        lqu.lqu_all(skew)
-    negative = lqu.DensityMatrix(1, np.diag([1.1, -0.1]))
-    assert [v.kind for v in lqu.validate(negative)] == ["PsdViolation"]
-    with pytest.raises(lqu.NotPositiveSemidefinite):
-        lqu.lqu_all(negative)
+    for matrix, kind in [
+        (np.array([[0.5, 1e-3], [0.0, 0.5]]), "HermiticityViolation"),
+        (np.diag([1.1, -0.1]), "PsdViolation"),
+        (np.eye(2) / 4, "TraceViolation"),
+        (np.eye(2), "TraceViolation"),
+    ]:
+        rho = lqu.DensityMatrix(1, matrix)
+        assert [v.kind for v in agreed_violations(rho)] == [kind]
 
 
 def test_rank_one_compute_decomposes_the_state_once(tmp_path, capsys, dense_eigs):
     rho = lqu.mix_white_noise(lqu.random_pure(5, 3), 0.0)
-    assert rho.spectrum.low_rank
+    assert rho.spectrum.root.shape == (32, 1)
     path = tmp_path / "state.json"
     lqu.save_density_matrix(rho, path)
     before = dense_eigs.count(32)
@@ -111,10 +111,10 @@ def test_root_storage_follows_the_rank(rank):
     spec = lqu.DensityMatrix(4, m).spectrum
     s = root_matrix(spec)
     if 2 * rank <= 16:  # the support route keeps a 16 x r factor, no 16 x 16 root
-        assert spec.low_rank and spec.root.shape == (16, rank)
+        assert spec.root.shape == (16, rank)
         np.testing.assert_allclose(spec.root @ spec.root.conj().T, s, rtol=0, atol=1e-14)
     else:
-        assert not spec.low_rank and spec.root.shape == (16, 16)
+        assert spec.root.shape == (16, 16)
         np.testing.assert_array_equal(s, spec.root)
     np.testing.assert_array_equal(s, s.conj().T)
     np.testing.assert_allclose(s @ s, m, rtol=0, atol=1e-13)
@@ -131,15 +131,14 @@ _CONSUMERS = [lqu.lqu_all,
 
 @pytest.mark.parametrize("consumer", _CONSUMERS,
                          ids=["lqu_all", "lqu_bipartition", "correlation_matrix"])
-@pytest.mark.parametrize("matrix, error, message", [
-    (_PURE + _SKEW, lqu.NotHermitian,
-     "matrix is not Hermitian: max |m - m^H| = 2.000e-03 > 1.000e-10"),
-    (np.diag([1.1, -0.1, 0, 0]), lqu.NotPositiveSemidefinite,
-     "smallest eigenvalue -1.000e-01 is below -1.000e-08"),
+@pytest.mark.parametrize("matrix, message", [
+    (_PURE + _SKEW, "not a valid density matrix: HermiticityViolation(2.000e-03)"),
+    (np.diag([1.1, -0.1, 0, 0]), "not a valid density matrix: PsdViolation(1.000e-01)"),
 ], ids=["non-hermitian", "non-psd"])
-def test_support_route_keeps_the_contracts(consumer, matrix, error, message):
+def test_support_route_keeps_the_contracts(consumer, matrix, message):
     rho = lqu.DensityMatrix(2, matrix)
-    assert rho.spectrum.low_rank
-    with pytest.raises(error) as info:
+    assert rho.spectrum.root.shape == (4, 1)
+    with pytest.raises(lqu.InvalidDensityMatrix) as info:
         consumer(rho)
     assert str(info.value) == message
+    assert info.value.violations == lqu.validate(rho)
