@@ -70,6 +70,19 @@ def local_observable(n_qubits: int, qubit_index: int, pauli_index: int) -> np.nd
     return reduce(np.kron, factors)
 
 
+def _support_products(factor: np.ndarray, qubit_index: int) -> list[np.ndarray]:
+    """(s_p F)^H F for p = x, y, z. Each s_p F is written into one d x r
+    buffer and conjugated there, so one is held at a time."""
+    halves = factor.reshape(2**qubit_index, 2, -1)
+    flipped = halves[:, ::-1]
+    s_f = np.conjugate(flipped)
+    prods = [s_f.reshape(factor.shape).T @ factor]
+    for rows, signs in ((flipped, _Y_PHASES), (halves, _Z_SIGNS)):
+        np.conjugate(np.multiply(rows, signs, out=s_f), out=s_f)
+        prods.append(s_f.reshape(factor.shape).T @ factor)
+    return prods
+
+
 def _correlation_given_root(
     root: np.ndarray, n_qubits: int, qubit_index: int
 ) -> tuple[np.ndarray, float]:
@@ -77,7 +90,9 @@ def _correlation_given_root(
     its eigenvalues lie in [0, 1] up to RANGE_TOL.
 
     root is a Spectrum's root: S = sqrt(rho), or on the support route its
-    d x r factor F with S = F F^dagger.
+    d x r factor F with S = F F^dagger. For a state validate accepts, S is
+    Hermitian with Tr S^2 = Tr rho, so the IMAG_TOL and RANGE_TOL checks
+    fail only on an arithmetic fault.
     """
     # Tr[S s_i S s_j] = sum_ab (S s_i)_ab (S s_j)_ba, so three products serve
     # all six entries; with S = F F^dagger it equals
@@ -87,10 +102,7 @@ def _correlation_given_root(
     # multiplies by (-i, i), s_z multiplies by (1, -1). No 2^N x 2^N operator
     # is built.
     if root.shape[1] < root.shape[0]:
-        halves = root.reshape(2**qubit_index, 2, -1)
-        flipped = halves[:, ::-1]
-        prods = [s_f.conj().reshape(root.shape).T @ root
-                 for s_f in (flipped, flipped * _Y_PHASES, halves * _Z_SIGNS)]
+        prods = _support_products(root, qubit_index)
     else:
         prods = [root @ local_observable(n_qubits, qubit_index, p) for p in (1, 2, 3)]
     m = np.zeros((3, 3))

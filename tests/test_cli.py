@@ -511,3 +511,17 @@ def test_sweep_kay_beyond_normalisation_range_exits_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert "gamma" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("eps, code, out, err", [
+    (5e-9, 0, "q0 0\nmean 0\n", ""),
+    (2e-8, 2, "", "error: {path} is not a valid density matrix: PsdViolation(2.000e-08)\n"),
+])
+def test_compute_a_pure_qubit_with_negative_dirt(tmp_path, capsys, eps, code, out, err):
+    # within PSD_TOL the root drops the negative eigenvalue and keeps the
+    # trace, so the qubit computes as pure; beyond it validate rejects
+    doc = {"n_qubits": 1, "matrix": [[[1 + eps, 0], [0, 0]], [[0, 0], [-eps, 0]]]}
+    path = tmp_path / "dirty.json"
+    path.write_text(json.dumps(doc))
+    got_code, got_out, got_err = run(capsys, "compute", str(path))
+    assert (got_code, got_out, got_err) == (code, out, err.format(path=path))

@@ -16,11 +16,13 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lqu import cli
+from lqu.linalg import HERMITICITY_TOL, PSD_TOL, TRACE_TOL
 from lqu.states import FAMILY_NAMES, DensityMatrixFormatError, density_matrix_from_json
 
 from helpers import reference_density_matrix
@@ -114,6 +116,20 @@ cases = st.one_of(
 )
 
 
+def run_case(case):
+    """Exit code and stderr lines of one (argv template, document) case."""
+    template, document = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [arg.replace("{dir}", tmp) for arg in template]
+        if document is not None:
+            with open(os.path.join(tmp, "state.json"), "w", encoding="utf-8") as fh:
+                fh.write(document)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    return code, err.getvalue().splitlines()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(case=cases)
@@ -125,21 +141,46 @@ cases = st.one_of(
 @example(case=(["sweep", "--family=kay", "--from=2", "--to=1e308", "--steps=3",
                 "--out={dir}/out.csv"], None))
 def test_every_input_exits_0_2_or_3_with_at_most_one_line(case):
-    template, document = case
-    with tempfile.TemporaryDirectory() as tmp:
-        argv = [arg.replace("{dir}", tmp) for arg in template]
-        if document is not None:
-            with open(os.path.join(tmp, "state.json"), "w", encoding="utf-8") as fh:
-                fh.write(document)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+    code, lines = run_case(case)
     assert code in (0, 2, 3)
-    lines = err.getvalue().splitlines()
     if code == 0:
         assert lines == []
     else:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# eigenvalues of the diagonal N = 2 state each route starts from: rank 4
+# (the dense route keeps S) and rank 1 (the support route keeps a factor)
+DIAGONALS = {"dense": [0.4, 0.3, 0.2, 0.1], "support": [1.0, 0.0, 0.0, 0.0]}
+
+
+def within_half_a_tolerance(route, kind):
+    """The route's diagonal state with one invariant broken by half its
+    tolerance: a skew entry, a scaled trace, or its last eigenvalue moved to
+    -e. A diagonal state is classical on each qubit, so a qubit's largest
+    correlation is Tr S^2; on the support route the PSD case leaves qubit 0
+    as diag(1 + e, -e), pure but for the negative eigenvalue."""
+    p = np.array(DIAGONALS[route])
+    if kind == "PsdViolation":
+        e = 0.5 * PSD_TOL
+        p[0] += p[-1] + e
+        p[-1] = -e
+    m = np.diag(p).astype(complex)
+    if kind == "HermiticityViolation":
+        m[0, 1] = 0.5 * HERMITICITY_TOL
+    elif kind == "TraceViolation":
+        m *= 1 + 0.5 * TRACE_TOL
+    return json.dumps({"n_qubits": 2,
+                       "matrix": [[[z.real, z.imag] for z in row] for row in m.tolist()]})
+
+
+@pytest.mark.parametrize("kind", ["HermiticityViolation", "TraceViolation", "PsdViolation"])
+@pytest.mark.parametrize("route", sorted(DIAGONALS))
+def test_a_document_within_every_tolerance_computes(route, kind):
+    document = within_half_a_tolerance(route, kind)
+    root = density_matrix_from_json(document).spectrum.root
+    assert (root.shape[1] < root.shape[0]) == (route == "support")
+    assert run_case((["compute", "{dir}/state.json"], document)) == (0, [])
 
 
 @settings(max_examples=300, deadline=None)

@@ -230,6 +230,25 @@ def test_support_route_peak_memory_stays_below_a_quarter_of_a_state(rank):
     assert peak < 0.25 * 16 * d * d
 
 
+def test_support_route_at_half_rank_holds_one_pauli_product_at_a_time():
+    # N = 10, rank d/2: the factor F is half a d x d matrix and each r x r
+    # product a quarter. Forming one s_p F at a time, in one buffer, holds
+    # that buffer and the three products: 1.25 d x d matrices (2.25 when all
+    # three s_p F and their conjugates were built before the products).
+    d = 2**10
+    g = complex_gaussian(rng_for(d), (d, d // 2))
+    rho = dm(g @ g.conj().T / np.linalg.norm(g) ** 2, 10)
+    del g
+    assert rho.spectrum.root.shape == (d, d // 2)
+    tracemalloc.start()
+    try:
+        lqu_all(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * 16 * d * d
+
+
 # --- the bridge between the two routes --------------------------------------
 
 @settings(max_examples=40, deadline=None)

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lqu
 from lqu import DensityMatrix, Violation
 from lqu.linalg import HERMITICITY_TOL, PSD_TOL, NoConvergence, spectrum
 
-from helpers import agreed_violations, random_hermitian, random_psd, root_matrix
+from helpers import agreed_violations, haar_unitary, random_hermitian, random_psd, root_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -97,12 +96,25 @@ def test_sqrt_clamps_rounding_dirt_but_rejects_real_negativity():
         return DensityMatrix(1, np.diag([1.0 - w, w]))
 
     near = with_eigenvalue(-0.5 * PSD_TOL)
-    # validate alone here: the state's one qubit is pure, so the correlation
-    # of the clamped root reaches 1 + 0.5 * PSD_TOL, beyond RANGE_TOL
-    assert lqu.validate(near) == []
+    assert agreed_violations(near) == []
     np.testing.assert_allclose(root_matrix(near.spectrum), np.diag([1.0, 0.0]), atol=1e-12)
     assert agreed_violations(with_eigenvalue(-2 * PSD_TOL)) == [
         Violation("PsdViolation", 2 * PSD_TOL)]
+
+
+@pytest.mark.parametrize("dim", [2, 8])  # rank 1 (support route) and 7 (dense)
+def test_sqrt_keeps_the_trace_of_what_it_drops(dim):
+    u = haar_unitary(dim, dim)
+    w = np.linspace(-1e-3, 1.0, dim)
+    s = root_matrix(spectrum((u * w) @ u.conj().T))
+    assert np.trace(s @ s).real == pytest.approx(w.sum(), rel=1e-14)
+
+
+@pytest.mark.parametrize("w, kept", [([-2.0, 1.0], [0.0, 1.0]),  # negative trace
+                                     ([-1.0, -1.0], [0.0, 0.0]),  # nothing kept
+                                     ([0.0, 0.0], [0.0, 0.0])])
+def test_sqrt_rescales_only_when_both_sums_are_positive(w, kept):
+    np.testing.assert_array_equal(root_matrix(spectrum(np.diag(w))), np.diag(kept))
 
 
 @settings(max_examples=50, deadline=None)

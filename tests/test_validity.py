@@ -56,3 +56,40 @@ def test_validate_and_every_consumer_agree_at_the_tolerance(route, kind, factor)
     else:
         assert [v.kind for v in violations] == [kind]
         assert violations[0].magnitude == pytest.approx(size, rel=1e-4)
+
+
+def classical_on_qubit_0(route, eps):
+    """rho = |0><0| (x) A + |1><1| (x) B, block diagonal in qubit 0's basis,
+    so Q_0 = 0 and the largest correlation of qubit 0 is Tr sqrt(rho)^2.
+
+    B has the eigenvalue -eps. On the support route it has no other, so
+    qubit 0 is diag(1 + eps, -eps), pure but for the dirt, and the rank is
+    d/2; on the dense route B's three other eigenvalues are small and
+    positive, qubit 0 is nearly pure and the rank is d - 1.
+    """
+    b = np.array([0.0, 0.0, 0.0] if route == "support" else [1e-3, 2e-3, 3e-3])
+    a = rng_for(7).uniform(0.1, 1.0, D // 2)
+    a *= (1 + eps - b.sum()) / a.sum()
+    p = np.concatenate([a, b, [-eps]])
+    u = np.zeros((D, D), dtype=complex)
+    u[:D // 2, :D // 2] = haar_unitary(12, D // 2)
+    u[D // 2:, D // 2:] = haar_unitary(13, D // 2)
+    m = (u * p) @ u.conj().T
+    return lqu.DensityMatrix(N_QUBITS, (m + m.conj().T) / 2)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("route", sorted(WEIGHTS))
+def test_negative_mass_within_psd_tol_computes_on_a_pure_qubit(route, factor):
+    # The root drops the negative eigenvalue but keeps the trace, so the
+    # correlation range check does not see the dirt validate admits.
+    size = factor * PSD_TOL
+    rho = classical_on_qubit_0(route, size)
+    assert rho.spectrum.root.shape[1] == (D // 2 if route == "support" else D)
+    violations = agreed_violations(rho)
+    if factor < 1:
+        assert violations == []
+        assert lqu.lqu_bipartition(rho, 0) == pytest.approx(0.0, abs=1e-15)
+    else:
+        assert [v.kind for v in violations] == ["PsdViolation"]
+        assert violations[0].magnitude == pytest.approx(size, rel=1e-4)
