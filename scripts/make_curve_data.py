@@ -3,14 +3,13 @@
 
 Writes one CSV per family into the output directory (default ./curves):
 noise sweeps over [0, 1] for the three- and four-qubit families and a
-gamma sweep over [2, 10] for the Kay family. Also prints the seeded
-random-state demonstration, whose per-bipartition values generally differ.
+gamma sweep over [2, 10] for the Kay family. `lqu random` prints the
+seeded random-state demonstration.
 """
 
 import argparse
 import pathlib
 
-from lqu import lqu_all, mix_white_noise, random_pure
 from lqu.cli import main as lqu_main
 
 SWEEPS = [
@@ -29,7 +28,6 @@ SWEEPS = [
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="curves", help="directory for the CSVs")
-    parser.add_argument("--seed", type=int, default=0, help="random-state demo seed")
     args = parser.parse_args()
 
     outdir = pathlib.Path(args.outdir)
@@ -41,13 +39,6 @@ def main():
         if code != 0:
             raise SystemExit(code)
         print(f"wrote {out}")
-
-    print(f"\nrandom 3-qubit state (seed {args.seed}, 0.8 pure + 0.2 white noise):")
-    rho = mix_white_noise(random_pure(3, args.seed), 0.2)
-    report = lqu_all(rho)
-    for q, v in enumerate(report.per_bipartition):
-        print(f"  qubit {q}: {v:.6f}")
-    print(f"  mean:    {report.mean:.6f}")
 
 
 if __name__ == "__main__":

@@ -9,6 +9,8 @@ test suite, as an independent oracle for this route.
 """
 
 from .analytic import (
+    GammaOutOfRange,
+    NoiseOutOfRange,
     ParamOutOfRange,
     lqu_ghz3,
     lqu_ghz4_class,
@@ -31,9 +33,7 @@ from .states import (
     FAMILY_NAMES,
     DensityMatrix,
     DensityMatrixFormatError,
-    GammaOutOfRange,
     InvalidDensityMatrix,
-    NoiseOutOfRange,
     UnknownFamily,
     Violation,
     build_state,

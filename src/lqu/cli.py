@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from .analytic import check_noise
 from .core import LquReport, NumericalContractViolation, lqu_all
 from .linalg import NoConvergence
 from .states import (
@@ -117,8 +118,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_random(args) -> int:
-    if not 0.0 <= args.pure_fraction <= 1.0:
-        raise ValueError(f"--pure-fraction {args.pure_fraction} outside [0, 1]")
+    check_noise(args.pure_fraction, "--pure-fraction")  # not 1 - it, which can round into range
     _check_seed(args.seed)
     rho = build_state("random", 1.0 - args.pure_fraction, args.qubits, args.seed)
     if args.dump:

@@ -21,7 +21,8 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .analytic import lqu_ghz3, lqu_ghz4_class, lqu_kay, lqu_w3, lqu_w4
+from .analytic import (check_gamma, check_noise, lqu_ghz3, lqu_ghz4_class, lqu_kay,
+                       lqu_w3, lqu_w4)
 from .linalg import HERMITICITY_TOL, PSD_TOL, TRACE_TOL, Spectrum, spectrum
 
 # Largest qubit count the package accepts, checked by qubit_dimension before
@@ -58,36 +59,6 @@ def output_file(path) -> Iterator[TextIO]:
 
 class UnknownFamily(ValueError):
     """Requested state family is not defined."""
-
-
-class NoiseOutOfRange(ValueError):
-    """White-noise fraction outside [0, 1]."""
-
-
-class GammaOutOfRange(ValueError):
-    """Kay-family parameter outside [2, GAMMA_MAX]."""
-
-
-# Largest Kay gamma: 8 * GAMMA_MAX is the float maximum, so the normalisation
-# 8 + 8 gamma is finite up to here and overflows beyond it.
-GAMMA_MAX = float(np.finfo(float).max) / 8
-
-
-def check_noise(noise: float) -> None:
-    """The rule for a white-noise fraction, checked before anything is built
-    or opened: it lies in [0, 1]. NaN and +-inf fail it."""
-    if not 0.0 <= noise <= 1.0:
-        raise NoiseOutOfRange(f"noise fraction {noise} outside [0, 1]")
-
-
-def check_gamma(gamma: float) -> None:
-    """The rule for the Kay gamma, checked before anything is built or
-    opened: it lies in [2, GAMMA_MAX]. NaN and +-inf fail it."""
-    if not 2.0 <= gamma <= GAMMA_MAX:
-        raise GammaOutOfRange(
-            f"gamma = {gamma} outside [2, {GAMMA_MAX!r}]: below 2 the state is "
-            f"not PSD, and above it the trace normalisation 8 + 8 gamma overflows"
-        )
 
 
 class DensityMatrixFormatError(ValueError):
@@ -182,7 +153,7 @@ def mix_white_noise(amplitudes, noise: float) -> DensityMatrix:
 
 
 def kay_state(gamma: float) -> DensityMatrix:
-    """The one-parameter 8x8 PPT family, valid for 2 <= gamma <= GAMMA_MAX.
+    """The one-parameter 8x8 PPT family, valid for 2 <= gamma <= analytic.GAMMA_MAX.
 
     Its smallest eigenvalue is (gamma - 2) / (8 + 8 gamma), so check_gamma's
     range is exactly where the matrix is a state that floats can hold.

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from lqu.analytic import (
+    GAMMA_MAX,
+    GammaOutOfRange,
+    NoiseOutOfRange,
     ParamOutOfRange,
+    check_gamma,
+    check_noise,
     lqu_ghz3,
     lqu_ghz4_class,
     lqu_kay,
@@ -17,12 +22,7 @@ from lqu.core import lqu_all, lqu_bipartition
 from lqu.states import (
     FAMILIES,
     FAMILY_NAMES,
-    GAMMA_MAX,
-    GammaOutOfRange,
-    NoiseOutOfRange,
     build_state,
-    check_gamma,
-    check_noise,
     closed_form_for,
     kay_state,
     mix_white_noise,
@@ -124,10 +124,13 @@ def test_noise_formulas_strictly_decreasing(fn):
 def test_closed_form_registry():
     # Every row of the registry: its state builds at both ends of its rule,
     # fails just beyond them with the rule's error, and every family but
-    # random has a closed form that lqu_all meets on a grid over the rule.
+    # random has a closed form that fails there with the same error and that
+    # lqu_all meets on a grid over the rule.
     for family in FAMILY_NAMES:
         rule, _, formula = FAMILIES[family]
         lo, hi, error = RULE_ENDS[rule]
+        assert closed_form_for(family) is formula
+        assert (formula is None) == (family == "random")
         for p in (lo, hi):
             assert validate(build_state(family, p, n_qubits=3, seed=7)) == []
         for p in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
@@ -135,8 +138,9 @@ def test_closed_form_registry():
                 rule(p)
             with pytest.raises(error):
                 build_state(family, p, n_qubits=3, seed=7)
-        assert closed_form_for(family) is formula
-        assert (formula is None) == (family == "random")
+            if formula is not None:
+                with pytest.raises(error):
+                    formula(p)
         if formula is None:
             continue
         for p in np.linspace(lo, hi, 5):

@@ -330,11 +330,15 @@ def test_random_dump_failing_on_a_pipe_keeps_the_pipe(tmp_path, capsys):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
-def test_random_command_rejects_bad_fraction(capsys):
+@pytest.mark.parametrize("value", ["1.5", "nan", "-1e-17"])
+def test_random_command_rejects_bad_fraction(capsys, value):
+    # The rule is applied to the user's own value: 1 - (-1e-17) rounds to
+    # exactly 1.0, which would pass it. "=" keeps argparse from reading
+    # -1e-17 as a flag.
     code, _, err = run(capsys, "random", "--qubits", "3", "--seed", "1",
-                       "--pure-fraction", "1.5")
+                       f"--pure-fraction={value}")
     assert code == 2
-    assert "pure-fraction" in err
+    assert err.splitlines() == [f"error: --pure-fraction {value} outside [0, 1]"]
 
 
 @pytest.mark.parametrize("bounds", [("2", "inf"), ("inf", "inf"), ("2", "nan")])

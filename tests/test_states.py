@@ -11,15 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lqu
+from lqu.analytic import GAMMA_MAX, GammaOutOfRange, NoiseOutOfRange
 from lqu.cli import build_parser
 from lqu.states import (
     FAMILIES,
     FAMILY_NAMES,
-    GAMMA_MAX,
     DensityMatrix,
     DensityMatrixFormatError,
-    GammaOutOfRange,
-    NoiseOutOfRange,
     UnknownFamily,
     build_state,
     density_matrix_from_json,
