@@ -390,75 +390,49 @@ def _decode(text: str) -> tuple[int, list[np.ndarray]]:
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's whitespace; str.isspace admits more
 
 
+def _expect(text: str, i: int, *tokens: str) -> int:
+    """The index past tokens at text[i], each after optional JSON whitespace,
+    and past the whitespace after the last; raises if one is not there."""
+    for token in tokens:
+        i = _WHITESPACE.match(text, i).end()
+        if not text.startswith(token, i):
+            raise ValueError(f"expected {token}")
+        i += len(token)
+    return _WHITESPACE.match(text, i).end()
+
+
 def _walk(text: str) -> tuple[int, list[np.ndarray]]:
-    """Decode the top-level object one value at a time with json's own
-    scanner, and the "matrix" array one row at a time, so no more than one
-    row's lists are alive at once. Raises on anything it does not expect,
-    valid or not; _decode then gives the verdict."""
+    """Decode the layout the writers emit, {"n_qubits": N, "matrix": [row,
+    ...]} with those two plain keys in that order, one value at a time with
+    json's own scanner, so no more than one row's lists are alive at once.
+    Raises on any other document, valid or not; _decode then gives the
+    verdict."""
     scan = make_scanner(json.JSONDecoder(parse_int=_parse_int))
-    skip = _WHITESPACE.match
-    doc = {}
-    i = skip(text).end()
-    if text[i] != "{":
-        raise ValueError("not an object")
-    while True:
-        key, i = scan(text, skip(text, i + 1).end())
-        i = skip(text, i).end()
-        if not isinstance(key, str) or text[i] != ":":
-            raise ValueError("not a key")
-        i = skip(text, i + 1).end()
-        if key == "matrix":
-            dim = qubit_dimension(doc["n_qubits"]) if "n_qubits" in doc else None
-            doc[key], i = _walk_rows(text, i, scan, dim)
-        else:
-            doc[key], i = scan(text, i)
-        i = skip(text, i).end()
-        if text[i] == "}":
-            break
-        if text[i] != ",":
-            raise ValueError("no comma")
-    if skip(text, i + 1).end() != len(text):
-        raise ValueError("extra data")
-    rows = doc.get("matrix", ())
-    if len(rows) != qubit_dimension(doc.get("n_qubits")) or rows[0].size != len(rows):
-        raise ValueError("wrong row count")
-    return doc["n_qubits"], rows
-
-
-def _walk_rows(text: str, i: int, scan, dim: int | None) -> tuple[list[np.ndarray], int]:
-    """The rows of the array at text[i], each checked and converted by _row as
-    soon as it is decoded, and the index just past the array. Before n_qubits
-    is read (dim None), the first row's length stands in for dim; _walk
-    checks it at the end."""
-    if text[i] != "[":
-        raise ValueError("not an array")
-    skip = _WHITESPACE.match
+    n, i = scan(text, _expect(text, 0, "{", '"n_qubits"', ":"))
+    dim = qubit_dimension(n)
+    i = _expect(text, i, ",", '"matrix"', ":", "[")
     rows = []
-    while True:
-        row, i = scan(text, skip(text, i + 1).end())
-        if dim is None:
-            dim = len(row) if isinstance(row, list) else 0
-        rows.append(_row(row, len(rows), dim))
-        i = skip(text, i).end()
-        if text[i] == "]":
-            return rows, i + 1
-        if text[i] != ",":
-            raise ValueError("no comma")
+    for k in range(dim):
+        row, i = scan(text, _expect(text, i, ",") if k else i)
+        rows.append(_row(row, k, dim))
+    if _expect(text, i, "]", "}") != len(text):
+        raise ValueError("extra data")
+    return n, rows
 
 
 def density_matrix_from_json(text: str) -> DensityMatrix:
     """Parse the JSON density-matrix format, with position-bearing errors.
 
-    A document is decoded row by row, so its peak memory is about the size
-    of the text; anything the walk does not expect, valid or not, is
-    decoded whole by json.loads instead, which names the first defect."""
-    # On a document it does not expect, the walk raises the scanner's
-    # StopIteration (no value at the index) or JSONDecodeError, an IndexError
-    # past the end, a format error from _row or qubit_dimension, a
-    # RecursionError, or an OverflowError should any conversion overflow.
+    A document in the writers' layout is decoded row by row, so its peak
+    memory is about the size of the text; any other document, valid or not,
+    is decoded whole by json.loads instead, which names the first defect."""
+    # On any other document the walk raises the scanner's StopIteration (no
+    # value at the index) or JSONDecodeError, a ValueError from _expect, a
+    # format error from _row or qubit_dimension, a RecursionError, or an
+    # OverflowError should any conversion overflow.
     try:
         n, rows = _walk(text)
-    except (StopIteration, IndexError, ValueError, RecursionError, OverflowError):
+    except (StopIteration, ValueError, RecursionError, OverflowError):
         rows = None
     if rows is None:
         # Outside the handler, so the walk's rows are freed first and its

@@ -115,6 +115,26 @@ def test_decoder_matches_whole_document_reference(text):
     assert_matches_reference(text)
 
 
+@st.composite
+def writer_layouts(draw):
+    """{"n_qubits": N, "matrix": [...]}, the two plain keys in the writers'
+    order, so most draws are walked row by row; the matrix may carry one
+    defect and any gap may hold whitespace JSON rejects."""
+    n = draw(st.integers(1, 2))
+    toks = (["{", '"n_qubits"', ":"] + tokens(n) + [",", '"matrix"', ":"]
+            + tokens(draw(matrices(2**n))) + ["}"])
+    gaps = [draw(JSON_WHITESPACE) for _ in range(len(toks) + 1)]
+    if draw(st.integers(0, 9)) == 0:
+        gaps[draw(st.integers(0, len(toks)))] += draw(st.sampled_from(OTHER_WHITESPACE))
+    return gaps[0] + "".join(tok + gap for tok, gap in zip(toks, gaps[1:]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=writer_layouts())
+def test_writer_layout_matches_whole_document_reference(text):
+    assert_matches_reference(text)
+
+
 MATRIX = "[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]"
 VALID = '{"n_qubits": 1, "matrix": %s}' % MATRIX
 
