@@ -45,21 +45,20 @@ def _check_seed(seed: int) -> None:
 
 def _check_sweep(args) -> None:
     """Reject a sweep's arguments before --out is opened or anything computed."""
-    if args.family == "random":
-        if args.qubits is None or args.seed is None:
-            raise ValueError("--family random requires --qubits and --seed")
+    rule, _, _, seeded = family_row(args.family)
+    if (args.qubits is not None, args.seed is not None) != (seeded, seeded):
+        raise ValueError(f"--family {args.family} requires --qubits and --seed" if seeded
+                         else f"--qubits and --seed apply to --family random only, "
+                         f"not to {args.family!r}")
+    if seeded:
         qubit_dimension(args.qubits)
         _check_seed(args.seed)
-    elif args.qubits is not None or args.seed is not None:
-        raise ValueError(f"--qubits and --seed apply to --family random only, "
-                         f"not to {args.family!r}")
     if args.steps < 2:
         raise ValueError(f"steps must be >= 2, got {args.steps}")
     if args.param_from > args.param_to:
         raise ValueError(
             f"--from ({args.param_from}) must not exceed --to ({args.param_to})"
         )
-    rule, _, _ = family_row(args.family)
     for name, p in (("--from", args.param_from), ("--to", args.param_to)):
         try:
             rule(p)
@@ -107,7 +106,10 @@ def cmd_sweep(args) -> int:
     _check_sweep(args)
     # np.linspace pins both endpoints exactly; interior points are uniform.
     # Built first: a grid numpy refuses must not cost the user's --out file.
-    params = np.linspace(args.param_from, args.param_to, args.steps)
+    try:
+        params = np.linspace(args.param_from, args.param_to, args.steps)
+    except (ValueError, MemoryError) as exc:  # too many points to index or to hold
+        raise ValueError(f"--steps {args.steps}: {exc}") from None
     # Open before computing, so a bad path fails before any work is done.
     with output_file(args.out) as fh:
         header, rows = sweep_rows(args, params)

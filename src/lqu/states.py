@@ -199,9 +199,7 @@ def random_pure(n_qubits: int, seed: int) -> np.ndarray:
     return amps
 
 
-def _random_state(noise: float, n_qubits: int | None, seed: int | None) -> DensityMatrix:
-    if n_qubits is None or seed is None:
-        raise ValueError("random family needs n_qubits and seed")
+def _random_state(noise: float, n_qubits: int, seed: int) -> DensityMatrix:
     return mix_white_noise(random_pure(n_qubits, seed), noise)
 
 
@@ -236,26 +234,28 @@ def valid_root(rho: DensityMatrix) -> np.ndarray:
 
 
 # The one family registry, in the order the command line lists the families:
-# name -> (parameter rule, state, closed form in the parameter or None).
-# A pure family's state is its amplitude table, (qubit count, [(basis index,
-# amplitude), ...]), mixed with white noise; any other family's state is a
-# builder of (param, n_qubits, seed).
+# name -> (parameter rule, state, closed form in the parameter or None,
+# seeded). A pure family's state is its amplitude table, (qubit count,
+# [(basis index, amplitude), ...]), mixed with white noise; any other
+# family's state is a builder of the parameter. A seeded family's builder
+# also takes n_qubits and seed, and no other family takes either.
 _SQ2, _SQ3, _SQ6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 FAMILIES: dict[str, tuple] = {
-    "ghz3": (check_noise, (3, [(0, 1 / _SQ2), (7, 1 / _SQ2)]), lqu_ghz3),
-    "w3": (check_noise, (3, [(i, 1 / _SQ3) for i in (1, 2, 4)]), lqu_w3),
-    "ghz4": (check_noise, (4, [(0, 1 / _SQ2), (15, 1 / _SQ2)]), lqu_ghz4_class),
-    "w4": (check_noise, (4, [(i, 0.5) for i in (1, 2, 4, 8)]), lqu_w4),
+    "ghz3": (check_noise, (3, [(0, 1 / _SQ2), (7, 1 / _SQ2)]), lqu_ghz3, False),
+    "w3": (check_noise, (3, [(i, 1 / _SQ3) for i in (1, 2, 4)]), lqu_w3, False),
+    "ghz4": (check_noise, (4, [(0, 1 / _SQ2), (15, 1 / _SQ2)]), lqu_ghz4_class, False),
+    "w4": (check_noise, (4, [(i, 0.5) for i in (1, 2, 4, 8)]), lqu_w4, False),
     "dicke24": (check_noise, (4, [(i, 1 / _SQ6) for i in (3, 5, 6, 9, 10, 12)]),
-                lqu_ghz4_class),
+                lqu_ghz4_class, False),
     "singlet4": (check_noise, (4, [(3, 1 / _SQ3), (12, 1 / _SQ3)]
-                               + [(i, -0.5 / _SQ3) for i in (5, 6, 9, 10)]), lqu_ghz4_class),
+                               + [(i, -0.5 / _SQ3) for i in (5, 6, 9, 10)]),
+                 lqu_ghz4_class, False),
     "cluster4": (check_noise, (4, [(0, 0.5), (3, 0.5), (12, 0.5), (15, -0.5)]),
-                 lqu_ghz4_class),
+                 lqu_ghz4_class, False),
     "chi4": (check_noise, (4, [(15, _SQ2 / _SQ6)] + [(i, 1 / _SQ6) for i in (1, 2, 4, 8)]),
-             lqu_ghz4_class),
-    "kay": (check_gamma, lambda gamma, n_qubits, seed: kay_state(gamma), lqu_kay),
-    "random": (check_noise, _random_state, None),
+             lqu_ghz4_class, False),
+    "kay": (check_gamma, kay_state, lqu_kay, False),
+    "random": (check_noise, _random_state, None, True),
 }
 
 FAMILY_NAMES = tuple(FAMILIES)
@@ -273,7 +273,7 @@ def family_row(family: str) -> tuple:
 
 def pure_state(family: str) -> np.ndarray:
     """Amplitude vector of one of the pure families."""
-    _, state, _ = family_row(family)
+    _, state, _, _ = family_row(family)
     if callable(state):
         raise ValueError(f"family {family!r} has no fixed amplitude vector")
     n, pattern = state
@@ -294,13 +294,16 @@ def build_state(
     """The density matrix of a named family at one parameter value.
 
     param is the white-noise fraction for the noise-mixed families and the
-    gamma parameter for the Kay family. n_qubits and seed apply to the
-    'random' family only.
+    gamma parameter for the Kay family. A seeded family's row ('random')
+    needs n_qubits and seed, and every other family rejects them; a call
+    that breaks its row's rule raises a ValueError naming the family.
     """
-    _, state, _ = family_row(family)
-    if callable(state):
-        return state(param, n_qubits, seed)
-    return mix_white_noise(pure_state(family), param)
+    _, state, _, seeded = family_row(family)
+    if (n_qubits is not None, seed is not None) != (seeded, seeded):
+        raise ValueError(f"{family} family {'needs' if seeded else 'rejects'} n_qubits and seed")
+    if not callable(state):
+        return mix_white_noise(pure_state(family), param)
+    return state(param, n_qubits, seed) if seeded else state(param)
 
 
 # --- density-matrix JSON format -------------------------------------------

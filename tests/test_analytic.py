@@ -127,17 +127,18 @@ def test_closed_form_registry():
     # random has a closed form that fails there with the same error and that
     # lqu_all meets on a grid over the rule.
     for family in FAMILY_NAMES:
-        rule, _, formula = FAMILIES[family]
+        rule, _, formula, seeded = FAMILIES[family]
         lo, hi, error = RULE_ENDS[rule]
+        extra = {"n_qubits": 3, "seed": 7} if seeded else {}
         assert closed_form_for(family) is formula
         assert (formula is None) == (family == "random")
         for p in (lo, hi):
-            assert validate(build_state(family, p, n_qubits=3, seed=7)) == []
+            assert validate(build_state(family, p, **extra)) == []
         for p in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
             with pytest.raises(error):
                 rule(p)
             with pytest.raises(error):
-                build_state(family, p, n_qubits=3, seed=7)
+                build_state(family, p, **extra)
             if formula is not None:
                 with pytest.raises(error):
                     formula(p)

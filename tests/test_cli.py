@@ -188,20 +188,23 @@ def test_sweep_failing_on_a_pipe_keeps_the_pipe(tmp_path, capsys):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
-@pytest.mark.parametrize("argv", [
-    ["--family", "random", "--qubits", str(lqu.states.MAX_QUBITS + 1), "--seed", "1",
-     "--steps", "2"],
-    # numpy refuses this grid size outright, without trying to allocate it
-    ["--family", "ghz3", "--steps", str(10**20)],
-], ids=["qubits-over-limit", "grid-too-large"])
-def test_sweep_rejected_config_keeps_existing_out(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, prefix", [
+    (["--family", "random", "--qubits", str(lqu.states.MAX_QUBITS + 1), "--seed", "1",
+      "--steps", "2"], f"error: n_qubits {lqu.states.MAX_QUBITS + 1} exceeds the limit"),
+    # numpy refuses these grids outright: the first is too large to index, and
+    # the second's 7.28 TiB allocation fails before any element is written
+    (["--family", "ghz3", "--steps", str(10**20)], f"error: --steps {10**20}: "),
+    (["--family", "ghz3", "--steps", str(10**12)], f"error: --steps {10**12}: "),
+], ids=["qubits-over-limit", "grid-too-large", "grid-out-of-memory"])
+def test_sweep_rejected_config_keeps_existing_out(tmp_path, capsys, argv, prefix):
     out = tmp_path / "keep.csv"
     out.write_bytes(b"param,mean\n0.5,0.25\n")
     code, stdout, err = run(capsys, "sweep", *argv, "--from", "0", "--to", "1",
                             "--out", str(out))
     assert code == 2
     assert stdout == ""
-    assert len(err.splitlines()) == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), lines
     assert out.read_bytes() == b"param,mean\n0.5,0.25\n"
 
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import pathlib
 import re
 import tracemalloc
 import warnings
@@ -31,10 +32,13 @@ from lqu.states import (
 
 from helpers import reduced_single_qubit
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 # the families whose registry row holds an amplitude table
-PURE_FAMILIES = sorted(name for name, (_, state, _) in FAMILIES.items() if not callable(state))
+PURE_FAMILIES = sorted(name for name, (_, state, _, _) in FAMILIES.items()
+                       if not callable(state))
 
 S2, S3, S6 = math.sqrt(2), math.sqrt(3), math.sqrt(6)
 
@@ -344,6 +348,23 @@ def test_build_state_covers_every_family():
         build_state("nope", 0.1)
     with pytest.raises(ValueError):
         build_state("random", 0.1)  # missing n_qubits/seed
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_only_random_takes_n_qubits_and_seed(family):
+    # random needs both n_qubits and seed; every other family rejects either
+    if family == "random":
+        rejected = [{}, {"n_qubits": 5}, {"seed": 7}]
+    else:
+        rejected = [{"n_qubits": 5}, {"seed": 7}, {"n_qubits": 5, "seed": 7}]
+    param = 2.5 if family == "kay" else 0.4
+    for extra in rejected:
+        with pytest.raises(ValueError, match=f"^{family} family "):
+            build_state(family, param, **extra)
+    if family == "random":
+        # the state that `lqu random --qubits 5 --seed 7 --pure-fraction 0.6` dumps
+        rho = build_state(family, 1.0 - 0.6, n_qubits=5, seed=7)
+        assert density_matrix_to_json(rho) + "\n" == (GOLDEN / "random_q5_s7.json").read_text()
 
 
 def test_json_round_trip_is_exact():
