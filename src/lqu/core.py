@@ -13,7 +13,6 @@ that validate rejects raises InvalidDensityMatrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -24,7 +23,6 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {1: PAULI_X, 2: PAULI_Y, 3: PAULI_Z}
-IDENTITY_2 = np.eye(2, dtype=complex)
 _Y_PHASES = np.array([-1j, 1j]).reshape(1, 2, 1)  # PAULI_Y's nonzero entries, by row
 _Z_SIGNS = np.array([1.0, -1.0]).reshape(1, 2, 1)
 
@@ -61,13 +59,21 @@ def local_observable(n_qubits: int, qubit_index: int, pauli_index: int) -> np.nd
     pauli_index is 1, 2, 3 for sigma_x, sigma_y, sigma_z. Qubit 0 is the
     most significant bit (leftmost tensor factor).
     """
-    qubit_dimension(n_qubits)  # the 2^N x 2^N product is bounded before it is built
+    d = qubit_dimension(n_qubits)  # bounded before the d x d array is allocated
     _check_qubit(n_qubits, qubit_index)
     if pauli_index not in PAULIS:
         raise IndexOutOfRange(f"pauli_index must be 1, 2 or 3, got {pauli_index}")
-    factors = [IDENTITY_2] * n_qubits
-    factors[qubit_index] = PAULIS[pauli_index]
-    return reduce(np.kron, factors)
+    # Column c of sigma on qubit k (identity elsewhere) is sigma's column b,
+    # where b is qubit k's bit of c: sigma[b, b] in row c and sigma[1 - b, b]
+    # in row c with that bit flipped. Its other entries are 0.
+    sigma = PAULIS[pauli_index]
+    shift = n_qubits - 1 - qubit_index
+    cols = np.arange(d)
+    bits = (cols >> shift) & 1
+    op = np.zeros((d, d), dtype=complex)
+    op[cols, cols] = sigma[bits, bits]
+    op[cols ^ (1 << shift), cols] = sigma[1 - bits, bits]
+    return op
 
 
 def _support_products(factor: np.ndarray, qubit_index: int) -> list[np.ndarray]:

@@ -77,12 +77,21 @@ def test_local_observable_index_errors():
         local_observable(3, 0, 4)
 
 
-def test_local_observable_bounds_the_qubit_count_before_any_kron(monkeypatch):
-    # np.kron is never reached: unpatched, this call would build 8192 x 8192.
-    def fail(*_):
-        raise AssertionError("np.kron called beyond the qubit limit")
+@pytest.mark.parametrize(
+    "n_qubits, qubit", [(n, k) for n in range(1, 8) for k in range(n)]
+)
+@pytest.mark.parametrize("pauli", [1, 2, 3])
+def test_local_observable_matches_the_kronecker_product(n_qubits, qubit, pauli):
+    got = local_observable(n_qubits, qubit, pauli)
+    np.testing.assert_array_equal(got, pauli_on(n_qubits, qubit, "xyz"[pauli - 1]))
 
-    monkeypatch.setattr(np, "kron", fail)
+
+def test_local_observable_bounds_the_qubit_count_before_any_allocation(monkeypatch):
+    # np.zeros is never reached: unpatched, this call would allocate 8192 x 8192.
+    def fail(*_, **__):
+        raise AssertionError("np.zeros called beyond the qubit limit")
+
+    monkeypatch.setattr(np, "zeros", fail)
     with pytest.raises(ValueError, match="^n_qubits 13 exceeds the limit of 12$"):
         local_observable(lqu.states.MAX_QUBITS + 1, 0, 1)
 

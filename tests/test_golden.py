@@ -59,6 +59,14 @@ def test_compute_of_golden_dump_matches_golden():
     assert report == (GOLDEN / "compute_q5_s7.txt").read_bytes()
 
 
+def test_seven_qubit_random_report_matches_golden():
+    # Full rank, so the dense route: pins local_observable's index arithmetic
+    # above N = 5, where no other golden reaches.
+    report = stdout_of(["random", "--qubits", "7", "--seed", "7",
+                        "--pure-fraction", "0.6"])
+    assert report == (GOLDEN / "random_q7_s7.txt").read_bytes()
+
+
 # Low-rank states, which take the support route in core. rank2_q5.json is
 # 0.7 |random_pure(5, 1)><.| + 0.3 |random_pure(5, 2)><.|, written by
 # save_density_matrix.
