@@ -24,7 +24,6 @@ from .core import (
     LquReport,
     NumericalContractViolation,
     correlation_matrix,
-    local_observable,
     lqu_all,
     lqu_bipartition,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "density_matrix_to_json",
     "kay_state",
     "load_density_matrix",
-    "local_observable",
     "lqu_all",
     "lqu_bipartition",
     "lqu_ghz3",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -83,23 +84,19 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def sweep_rows(args, params: np.ndarray) -> tuple[list[str], list[list[str]]]:
-    """Evaluate the sweep the parsed arguments describe at the grid params;
-    returns (header, rows) ready for CSV writing."""
+def sweep_rows(args, params: np.ndarray) -> Iterator[list[str]]:
+    """The sweep the parsed arguments describe at the grid params, as CSV
+    rows: the header, then one row per point, each computed as it is asked
+    for, so memory does not grow with the number of points."""
     formula = closed_form_for(args.family)
-    rows: list[list[str]] = []
-    for p in params:
-        p = float(p)
+    for i, p in enumerate(map(float, params)):
         rho = build_state(args.family, p, args.qubits, args.seed)
+        if i == 0:
+            yield ["param"] + [f"q{k}" for k in range(rho.n_qubits)] + ["mean", "analytic"]
         report = lqu_all(rho)
         analytic = _fmt(formula(p)) if formula is not None else ""
-        rows.append(
-            [_fmt(p)]
-            + [_fmt(v) for v in report.per_bipartition]
-            + [_fmt(report.mean), analytic]
-        )
-    header = ["param"] + [f"q{i}" for i in range(rho.n_qubits)] + ["mean", "analytic"]
-    return header, rows
+        yield ([_fmt(p)] + [_fmt(v) for v in report.per_bipartition]
+               + [_fmt(report.mean), analytic])
 
 
 def cmd_sweep(args) -> int:
@@ -112,10 +109,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--steps {args.steps}: {exc}") from None
     # Open before computing, so a bad path fails before any work is done.
     with output_file(args.out) as fh:
-        header, rows = sweep_rows(args, params)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerows(sweep_rows(args, params))
     return 0
 
 

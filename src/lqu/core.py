@@ -12,23 +12,20 @@ that validate rejects raises InvalidDensityMatrix.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import IMAG_TOL, RANGE_TOL
-from .states import DensityMatrix, qubit_dimension, valid_root
+from .states import DensityMatrix, valid_root
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = {1: PAULI_X, 2: PAULI_Y, 3: PAULI_Z}
-_Y_PHASES = np.array([-1j, 1j]).reshape(1, 2, 1)  # PAULI_Y's nonzero entries, by row
+_Y_PHASES = np.array([-1j, 1j]).reshape(1, 2, 1)  # sigma_y's nonzero entries, by row
 _Z_SIGNS = np.array([1.0, -1.0]).reshape(1, 2, 1)
 
 
 class IndexOutOfRange(IndexError):
-    """Qubit or Pauli index outside its valid range."""
+    """Qubit index outside its valid range."""
 
 
 class NumericalContractViolation(ArithmeticError):
@@ -53,45 +50,25 @@ def _check_qubit(n_qubits: int, qubit_index: int) -> None:
         raise IndexOutOfRange(f"qubit_index {qubit_index} outside [0, {n_qubits})")
 
 
-def local_observable(n_qubits: int, qubit_index: int, pauli_index: int) -> np.ndarray:
-    """Pauli sigma_{pauli_index} on one qubit, identity on the rest.
+def _conj_pauli_rows(m: np.ndarray, qubit_index: int) -> Iterator[np.ndarray]:
+    """conj(s_p m) for p = x, y, z, each written over the last in one complex
+    buffer shaped like m, so one is held at a time.
 
-    pauli_index is 1, 2, 3 for sigma_x, sigma_y, sigma_z. Qubit 0 is the
-    most significant bit (leftmost tensor factor).
+    s_p m is formed by indexing m's rows, with qubit k's bit as axis 1
+    (qubit 0 is the most significant bit of a row index): s_x swaps the two
+    halves, s_y swaps them and multiplies by (-i, i), s_z multiplies by
+    (1, -1). No 2^N x 2^N operator is built.
     """
-    d = qubit_dimension(n_qubits)  # bounded before the d x d array is allocated
-    _check_qubit(n_qubits, qubit_index)
-    if pauli_index not in PAULIS:
-        raise IndexOutOfRange(f"pauli_index must be 1, 2 or 3, got {pauli_index}")
-    # Column c of sigma on qubit k (identity elsewhere) is sigma's column b,
-    # where b is qubit k's bit of c: sigma[b, b] in row c and sigma[1 - b, b]
-    # in row c with that bit flipped. Its other entries are 0.
-    sigma = PAULIS[pauli_index]
-    shift = n_qubits - 1 - qubit_index
-    cols = np.arange(d)
-    bits = (cols >> shift) & 1
-    op = np.zeros((d, d), dtype=complex)
-    op[cols, cols] = sigma[bits, bits]
-    op[cols ^ (1 << shift), cols] = sigma[1 - bits, bits]
-    return op
-
-
-def _support_products(factor: np.ndarray, qubit_index: int) -> list[np.ndarray]:
-    """(s_p F)^H F for p = x, y, z. Each s_p F is written into one d x r
-    buffer and conjugated there, so one is held at a time."""
-    halves = factor.reshape(2**qubit_index, 2, -1)
+    halves = m.reshape(2**qubit_index, 2, -1)
     flipped = halves[:, ::-1]
-    s_f = np.conjugate(flipped)
-    prods = [s_f.reshape(factor.shape).T @ factor]
+    buf = np.conjugate(flipped).astype(complex, copy=False)
+    yield buf.reshape(m.shape)
     for rows, signs in ((flipped, _Y_PHASES), (halves, _Z_SIGNS)):
-        np.conjugate(np.multiply(rows, signs, out=s_f), out=s_f)
-        prods.append(s_f.reshape(factor.shape).T @ factor)
-    return prods
+        np.conjugate(np.multiply(rows, signs, out=buf), out=buf)
+        yield buf.reshape(m.shape)
 
 
-def _correlation_given_root(
-    root: np.ndarray, n_qubits: int, qubit_index: int
-) -> tuple[np.ndarray, float]:
+def _correlation_given_root(root: np.ndarray, qubit_index: int) -> tuple[np.ndarray, float]:
     """The correlation matrix and its largest eigenvalue, after checking that
     its eigenvalues lie in [0, 1] up to RANGE_TOL.
 
@@ -101,16 +78,15 @@ def _correlation_given_root(
     fail only on an arithmetic fault.
     """
     # Tr[S s_i S s_j] = sum_ab (S s_i)_ab (S s_j)_ba, so three products serve
-    # all six entries; with S = F F^dagger it equals
-    # Tr[(F^H s_i F)(F^H s_j F)], the same sum over r x r products. There
-    # F^H s_i F = (s_i F)^H F, and s_i F is formed by indexing F's rows, with
-    # qubit k's bit as axis 1: s_x swaps the two halves, s_y swaps them and
-    # multiplies by (-i, i), s_z multiplies by (1, -1). No 2^N x 2^N operator
-    # is built.
+    # all six entries. linalg.spectrum stores S exactly Hermitian, so
+    # S s_i = (s_i S)^H, the transpose of conj(s_i S), bit for bit. With S = F F^dagger the trace equals
+    # Tr[(F^H s_i F)(F^H s_j F)], the same sum over r x r products, where
+    # F^H s_i F = conj(s_i F)^T F.
+    rows = _conj_pauli_rows(root, qubit_index)
     if root.shape[1] < root.shape[0]:
-        prods = _support_products(root, qubit_index)
+        prods = [s.T @ root for s in rows]
     else:
-        prods = [root @ local_observable(n_qubits, qubit_index, p) for p in (1, 2, 3)]
+        prods = [s.T.copy() for s in rows]  # the buffer is overwritten by the next
     m = np.zeros((3, 3))
     for i in range(3):
         for j in range(i, 3):  # lower triangle follows by symmetry of the trace
@@ -138,7 +114,7 @@ def correlation_matrix(rho: DensityMatrix, qubit_index: int) -> np.ndarray:
     three mirrored).
     """
     _check_qubit(rho.n_qubits, qubit_index)
-    return _correlation_given_root(valid_root(rho), rho.n_qubits, qubit_index)[0]
+    return _correlation_given_root(valid_root(rho), qubit_index)[0]
 
 
 def _clamp_unit(value: float) -> float:
@@ -147,8 +123,8 @@ def _clamp_unit(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _lqu_given_root(root: np.ndarray, n_qubits: int, qubit_index: int) -> float:
-    _, lam_max = _correlation_given_root(root, n_qubits, qubit_index)
+def _lqu_given_root(root: np.ndarray, qubit_index: int) -> float:
+    _, lam_max = _correlation_given_root(root, qubit_index)
     return _clamp_unit(1.0 - lam_max)
 
 
@@ -160,7 +136,7 @@ def lqu_bipartition(rho: DensityMatrix, qubit_index: int) -> float:
     of a pure qubit with the rest.
     """
     _check_qubit(rho.n_qubits, qubit_index)
-    return _lqu_given_root(valid_root(rho), rho.n_qubits, qubit_index)
+    return _lqu_given_root(valid_root(rho), qubit_index)
 
 
 def lqu_all(rho: DensityMatrix) -> LquReport:
@@ -170,5 +146,5 @@ def lqu_all(rho: DensityMatrix) -> LquReport:
     qubit order so results are order-independent.
     """
     root = valid_root(rho)
-    values = tuple(_lqu_given_root(root, rho.n_qubits, q) for q in range(rho.n_qubits))
+    values = tuple(_lqu_given_root(root, q) for q in range(rho.n_qubits))
     return LquReport(per_bipartition=values, mean=sum(values) / rho.n_qubits)

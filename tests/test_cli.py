@@ -2,7 +2,10 @@ import csv
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +149,10 @@ def test_sweep_rejects_bad_config(tmp_path, capsys, argv):
 
 
 def test_sweep_removes_partial_file_on_failure(tmp_path, capsys, monkeypatch):
+    # Rows reach the file as they are computed, so either failure comes
+    # after earlier rows were written: a write that fails on the third row,
+    # and a numerical fault at the third grid point.
+    argv = ["sweep", "--family", "ghz3", "--from", "0", "--to", "1", "--steps", "5"]
     out_path = tmp_path / "partial.csv"
     real_writer = csv.writer
 
@@ -153,17 +160,71 @@ def test_sweep_removes_partial_file_on_failure(tmp_path, capsys, monkeypatch):
         def __init__(self, fh, **kwargs):
             self.inner = real_writer(fh, **kwargs)
 
-        def writerow(self, row):
-            self.inner.writerow(row)
-
         def writerows(self, rows):
-            raise RuntimeError("disk full")
+            for i, row in enumerate(rows):
+                if i == 2:
+                    raise RuntimeError("disk full")
+                self.inner.writerow(row)
 
-    monkeypatch.setattr(cli.csv, "writer", FailingWriter)
-    with pytest.raises(RuntimeError):
-        cli.main(["sweep", "--family", "ghz3", "--from", "0", "--to", "1",
-                  "--steps", "5", "--out", str(out_path)])
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.csv, "writer", FailingWriter)
+        with pytest.raises(RuntimeError):
+            cli.main([*argv, "--out", str(out_path)])
     assert not out_path.exists()
+
+    real_lqu_all, points = cli.lqu_all, []
+
+    def fails_at_the_third_point(rho):
+        points.append(rho)
+        if len(points) == 3:
+            assert out_path.exists()
+            raise NumericalContractViolation("forced")
+        return real_lqu_all(rho)
+
+    monkeypatch.setattr(cli, "lqu_all", fails_at_the_third_point)
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert (code, out, err) == (3, "", "error: forced\n")
+    assert len(points) == 3
+    assert not out_path.exists()
+
+
+# Traced peaks of one ghz3 sweep after another, in a fresh interpreter.
+_SWEEP_PEAKS = """
+import sys, tracemalloc
+from lqu import cli
+
+def peak(steps):
+    tracemalloc.start()
+    try:
+        assert cli.main(["sweep", "--family", "ghz3", "--from", "0", "--to", "1",
+                         "--steps", str(steps), "--out", sys.argv[1]]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+peak(2000)  # warm-up: what the first long run grows once is not the sweep's
+print(peak(200), peak(2000))
+"""
+
+
+def test_sweep_memory_does_not_grow_with_the_steps(tmp_path):
+    # Each row is written before the next point is computed, so the traced
+    # peak of a 2000-point sweep stays within 64 KiB of a 200-point one; the
+    # grid itself, 8 B a point, is the only part that grows. Holding every
+    # row until the end costs about 0.5 KB a point. The sweeps run in a
+    # fresh interpreter, as the command does: in one that has imported the
+    # other test modules (mpmath among them) the peak also holds up to about
+    # 64 B a point of interpreter memory that gc.collect() gives back while
+    # finding nothing unreachable, which is not the sweep's.
+    bound = 64 * 1024
+    src = str(Path(lqu.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", _SWEEP_PEAKS, str(tmp_path / "ghz3.csv")],
+                            capture_output=True, text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    short, long = map(int, result.stdout.split())
+    assert abs(long - short) < bound, (short, long)
 
 
 def test_sweep_failing_on_a_pipe_keeps_the_pipe(tmp_path, capsys):

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lqu
 from lqu.core import (
     IndexOutOfRange,
     NumericalContractViolation,
     _clamp_unit,
     _lqu_given_root,
     correlation_matrix,
-    local_observable,
     lqu_all,
     lqu_bipartition,
 )
@@ -42,58 +40,6 @@ def random_noisy_state(seed, n_qubits=3):
     rng = rng_for(seed)
     noise = rng.uniform(0.05, 0.95)
     return mix_white_noise(random_pure(n_qubits, seed), noise)
-
-
-# --- local_observable -------------------------------------------------------
-
-def test_local_observable_z_on_most_significant_bit():
-    got = local_observable(3, 0, 3)
-    np.testing.assert_array_equal(got, np.diag([1, 1, 1, 1, -1, -1, -1, -1]).astype(complex))
-
-
-def test_local_observable_z_on_least_significant_bit():
-    got = local_observable(3, 2, 3)
-    np.testing.assert_array_equal(got, np.diag([1, -1, 1, -1, 1, -1, 1, -1]).astype(complex))
-
-
-def test_local_observable_x_flips_qubit_a():
-    ket00 = np.array([1, 0, 0, 0], dtype=complex)
-    ket10 = np.array([0, 0, 1, 0], dtype=complex)
-    np.testing.assert_array_equal(local_observable(2, 0, 1) @ ket00, ket10)
-
-
-@pytest.mark.parametrize("qubit", [0, 1, 2])
-@pytest.mark.parametrize("pauli", [1, 2, 3])
-def test_local_observable_is_hermitian_involution(qubit, pauli):
-    k = local_observable(3, qubit, pauli)
-    np.testing.assert_allclose(k, k.conj().T)
-    np.testing.assert_allclose(k @ k, np.eye(8), atol=1e-15)
-
-
-def test_local_observable_index_errors():
-    with pytest.raises(IndexOutOfRange):
-        local_observable(3, 3, 1)
-    with pytest.raises(IndexOutOfRange):
-        local_observable(3, 0, 4)
-
-
-@pytest.mark.parametrize(
-    "n_qubits, qubit", [(n, k) for n in range(1, 8) for k in range(n)]
-)
-@pytest.mark.parametrize("pauli", [1, 2, 3])
-def test_local_observable_matches_the_kronecker_product(n_qubits, qubit, pauli):
-    got = local_observable(n_qubits, qubit, pauli)
-    np.testing.assert_array_equal(got, pauli_on(n_qubits, qubit, "xyz"[pauli - 1]))
-
-
-def test_local_observable_bounds_the_qubit_count_before_any_allocation(monkeypatch):
-    # np.zeros is never reached: unpatched, this call would allocate 8192 x 8192.
-    def fail(*_, **__):
-        raise AssertionError("np.zeros called beyond the qubit limit")
-
-    monkeypatch.setattr(np, "zeros", fail)
-    with pytest.raises(ValueError, match="^n_qubits 13 exceeds the limit of 12$"):
-        local_observable(lqu.states.MAX_QUBITS + 1, 0, 1)
 
 
 # --- skew-information oracle (tests/helpers.py) -----------------------------
@@ -164,7 +110,7 @@ def test_pure_state_correlation_is_bloch_outer_product(seed):
 
 
 @pytest.mark.parametrize("rank", ["1", "2", "d/2", "d/2+1", "d"])
-@pytest.mark.parametrize("n_qubits", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n_qubits", [2, 3, 4, 5, 6, 7, 8])
 def test_correlation_matches_block_gram_partial_trace(n_qubits, rank):
     # rho = U diag(p) U^dagger with a known spectrum, so S = sqrt(rho) needs no
     # eigensolver. With qubit k an explicit index, S splits into blocks S_pq
@@ -193,13 +139,9 @@ def test_correlation_matches_block_gram_partial_trace(n_qubits, rank):
 
 @pytest.mark.parametrize("rank", ["1", "2", "d/2"])
 @pytest.mark.parametrize("n_qubits", [2, 3, 4, 5, 6])
-def test_support_route_builds_no_local_observable(monkeypatch, n_qubits, rank):
-    # The support route applies each Pauli to the factor's rows by index; with
-    # the d x d builder disabled it still meets the block-Gram oracle above.
-    def fail(*_):
-        raise AssertionError("local_observable called on the support route")
-
-    monkeypatch.setattr(lqu.core, "local_observable", fail)
+def test_support_route_meets_the_block_gram_oracle(n_qubits, rank):
+    # Every consumer on a state whose root is stored as its d x r factor
+    # meets the block-Gram oracle above.
     d = 2**n_qubits
     r = {"1": 1, "2": 2, "d/2": d // 2}[rank]
     seed = 10 * n_qubits + r + 5
@@ -275,6 +217,14 @@ def test_skew_equals_one_minus_quadratic_form(seed):
 
 
 # --- per-bipartition values and the report ----------------------------------
+
+def test_qubit_index_outside_the_register_raises():
+    rho = mix_white_noise(pure_state("ghz3"), 0.5)
+    for consumer in (correlation_matrix, lqu_bipartition):
+        for q in (-1, 3):
+            with pytest.raises(IndexOutOfRange, match=rf"^qubit_index {q} outside \[0, 3\)$"):
+                consumer(rho, q)
+
 
 def test_lqu_pure_ghz3_is_one_and_full_noise_is_zero():
     assert lqu_bipartition(mix_white_noise(pure_state("ghz3"), 0.0), 0) == pytest.approx(1.0, abs=1e-12)
@@ -382,4 +332,4 @@ def test_clamp_snaps_rounding_but_raises_on_real_excursions():
     x0 = np.kron(PAULI["x"], np.eye(4))
     for bad_sqrt in (2 * np.eye(8), 0.1 * x0):
         with pytest.raises(NumericalContractViolation):
-            _lqu_given_root(bad_sqrt, 3, 0)
+            _lqu_given_root(bad_sqrt, 0)

@@ -60,8 +60,9 @@ def test_compute_of_golden_dump_matches_golden():
 
 
 def test_seven_qubit_random_report_matches_golden():
-    # Full rank, so the dense route: pins local_observable's index arithmetic
-    # above N = 5, where no other golden reaches.
+    # Full rank, so the dense route: pins its index kernel, S sigma_p formed
+    # as (sigma_p S)^dagger, above N = 6, where the block-Gram oracle in
+    # test_core reaches N = 8 but no other golden goes.
     report = stdout_of(["random", "--qubits", "7", "--seed", "7",
                         "--pure-fraction", "0.6"])
     assert report == (GOLDEN / "random_q7_s7.txt").read_bytes()

@@ -122,5 +122,5 @@ def test_sqrt_rescales_only_when_both_sums_are_positive(w, kept):
 def test_sqrt_squares_back(seed, dim):
     m = random_psd(seed, dim)
     s = root_matrix(spectrum(m))
-    assert np.abs(s - s.conj().T).max() < 1e-12
+    np.testing.assert_array_equal(s, s.conj().T)
     assert np.linalg.norm(s @ s - m) / np.linalg.norm(m) < 1e-9

@@ -5,9 +5,10 @@ import pytest
 
 import lqu
 from lqu import cli
-from lqu.linalg import spectrum
+from lqu.linalg import HERMITICITY_TOL, spectrum
 
-from helpers import agreed_violations, haar_unitary, random_density, rng_for, root_matrix
+from helpers import (agreed_violations, complex_gaussian, haar_unitary, random_density, rng_for,
+                     root_matrix)
 
 
 @pytest.fixture
@@ -107,17 +108,25 @@ def state_of_rank(rank, dim, seed):
 
 @pytest.mark.parametrize("rank", [1, 2, 8, 9, 16])
 def test_root_storage_follows_the_rank(rank):
-    m = state_of_rank(rank, 16, rank)
-    spec = lqu.DensityMatrix(4, m).spectrum
-    s = root_matrix(spec)
-    if 2 * rank <= 16:  # the support route keeps a 16 x r factor, no 16 x 16 root
-        assert spec.root.shape == (16, rank)
-        np.testing.assert_allclose(spec.root @ spec.root.conj().T, s, rtol=0, atol=1e-14)
-    else:
-        assert spec.root.shape == (16, 16)
-        np.testing.assert_array_equal(s, spec.root)
-    np.testing.assert_array_equal(s, s.conj().T)
-    np.testing.assert_allclose(s @ s, m, rtol=0, atol=1e-13)
+    h = state_of_rank(rank, 16, rank)
+    # An anti-Hermitian part that validate still admits: the root, built from
+    # the Hermitian part, must be exactly Hermitian all the same, because
+    # core applies S sigma_p as (sigma_p S)^dagger on the dense route.
+    a = complex_gaussian(rng_for(rank), (16, 16))
+    skew = HERMITICITY_TOL / 16 * (a - a.conj().T)
+    for m in (h, h + skew):
+        rho = lqu.DensityMatrix(4, m)
+        assert lqu.validate(rho) == []
+        spec = rho.spectrum
+        s = root_matrix(spec)
+        if 2 * rank <= 16:  # the support route keeps a 16 x r factor, no 16 x 16 root
+            assert spec.root.shape == (16, rank)
+            np.testing.assert_allclose(spec.root @ spec.root.conj().T, s, rtol=0, atol=1e-14)
+        else:
+            assert spec.root.shape == (16, 16)
+            np.testing.assert_array_equal(s, spec.root)
+        np.testing.assert_array_equal(s, s.conj().T)
+        np.testing.assert_allclose(s @ s, h, rtol=0, atol=1e-13)
 
 
 # A rank-deficient Hermitian part: the checks on the support route raise what
