@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from lqu.core import (
     IndexOutOfRange,
     NumericalContractViolation,
     _clamp_unit,
+    _conj_pauli_rows,
     _lqu_given_root,
     correlation_matrix,
     lqu_all,
@@ -40,6 +42,55 @@ def random_noisy_state(seed, n_qubits=3):
     rng = rng_for(seed)
     noise = rng.uniform(0.05, 0.95)
     return mix_white_noise(random_pure(n_qubits, seed), noise)
+
+
+def local_observable(n_qubits, qubit, pauli):
+    """The 2^N x 2^N operator that the index kernel applies for Pauli
+    1, 2, 3 (x, y, z) on one qubit, read off by running it on the identity:
+    the kernel yields conj(s_p I)."""
+    rows = _conj_pauli_rows(np.eye(2**n_qubits, dtype=complex), qubit)
+    return np.conjugate(next(islice(rows, pauli - 1, None)))
+
+
+# --- Pauli index kernel -----------------------------------------------------
+
+def test_local_observable_z_on_most_significant_bit():
+    got = local_observable(3, 0, 3)
+    np.testing.assert_array_equal(got, np.diag([1, 1, 1, 1, -1, -1, -1, -1]).astype(complex))
+
+
+def test_local_observable_z_on_least_significant_bit():
+    got = local_observable(3, 2, 3)
+    np.testing.assert_array_equal(got, np.diag([1, -1, 1, -1, 1, -1, 1, -1]).astype(complex))
+
+
+def test_local_observable_x_flips_qubit_a():
+    ket00 = np.array([1, 0, 0, 0], dtype=complex)
+    ket10 = np.array([0, 0, 1, 0], dtype=complex)
+    np.testing.assert_array_equal(local_observable(2, 0, 1) @ ket00, ket10)
+
+
+@pytest.mark.parametrize("qubit", [0, 1, 2])
+@pytest.mark.parametrize("pauli", [1, 2, 3])
+def test_local_observable_is_hermitian_involution(qubit, pauli):
+    k = local_observable(3, qubit, pauli)
+    np.testing.assert_allclose(k, k.conj().T)
+    np.testing.assert_allclose(k @ k, np.eye(8), atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "n_qubits, qubit", [(n, k) for n in range(1, 8) for k in range(n)]
+)
+@pytest.mark.parametrize("pauli", [1, 2, 3])
+def test_local_observable_matches_the_kronecker_product(n_qubits, qubit, pauli):
+    expected = pauli_on(n_qubits, qubit, "xyz"[pauli - 1])
+    np.testing.assert_array_equal(local_observable(n_qubits, qubit, pauli), expected)
+    # The kernel indexes rows only, so a d x r factor and a real root take
+    # the same action.
+    d = 2**n_qubits
+    for m in (complex_gaussian(rng_for(d + qubit), (d, 3)), rng_for(qubit).standard_normal((d, d))):
+        got = next(islice(_conj_pauli_rows(m, qubit), pauli - 1, None))
+        np.testing.assert_allclose(got, np.conjugate(expected @ m), rtol=0, atol=1e-15)
 
 
 # --- skew-information oracle (tests/helpers.py) -----------------------------
