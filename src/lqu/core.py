@@ -20,8 +20,16 @@ import numpy as np
 from .linalg import IMAG_TOL, RANGE_TOL
 from .states import DensityMatrix, valid_root
 
-_Y_PHASES = np.array([-1j, 1j]).reshape(1, 2, 1)  # sigma_y's nonzero entries, by row
-_Z_SIGNS = np.array([1.0, -1.0]).reshape(1, 2, 1)
+_Y_PHASES = np.array([-1j, 1j])  # sigma_y's nonzero entries, by the row's bit
+_Z_SIGNS = np.array([1.0, -1.0])
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # computed entries, in check order
+
+# Qubits go in chunks, each stacked array of a chunk holding at most this many
+# entries. One d x d matrix has that many at N = 8, so from there a chunk is
+# one qubit and the dense route holds the four d x d arrays that one qubit
+# needs, and no more; up to N = 6 one chunk takes every qubit, so each step
+# is one numpy call per state.
+_CHUNK_ENTRIES = 2**16
 
 
 class IndexOutOfRange(IndexError):
@@ -50,60 +58,93 @@ def _check_qubit(n_qubits: int, qubit_index: int) -> None:
         raise IndexOutOfRange(f"qubit_index {qubit_index} outside [0, {n_qubits})")
 
 
-def _conj_pauli_rows(m: np.ndarray, qubit_index: int) -> Iterator[np.ndarray]:
-    """conj(s_p m) for p = x, y, z, each written over the last in one complex
-    buffer shaped like m, so one is held at a time.
+def _conj_pauli_stack(m: np.ndarray, qubits: range, out: np.ndarray) -> Iterator[np.ndarray]:
+    """conj(s_p m) for p = x, y, z on each of the qubits, each written over
+    the last in out, shaped (len(qubits),) + m.shape.
 
-    s_p m is formed by indexing m's rows, with qubit k's bit as axis 1
-    (qubit 0 is the most significant bit of a row index): s_x swaps the two
-    halves, s_y swaps them and multiplies by (-i, i), s_z multiplies by
-    (1, -1). No 2^N x 2^N operator is built.
+    s_p m is one gather of m's rows for the whole stack (qubit 0 is the most
+    significant bit of a row index): s_x takes row i from row i with the
+    qubit's bit flipped, s_y does the same and multiplies row i by -i or i as
+    that bit of i is 0 or 1, s_z multiplies row i by 1 or -1. No 2^N x 2^N
+    operator is built.
     """
-    halves = m.reshape(2**qubit_index, 2, -1)
-    flipped = halves[:, ::-1]
-    buf = np.conjugate(flipped).astype(complex, copy=False)
-    yield buf.reshape(m.shape)
-    for rows, signs in ((flipped, _Y_PHASES), (halves, _Z_SIGNS)):
-        np.conjugate(np.multiply(rows, signs, out=buf), out=buf)
-        yield buf.reshape(m.shape)
+    m = np.asarray(m, dtype=complex)  # a real m is promoted
+    rows = np.arange(m.shape[0])
+    shifts = np.subtract(m.shape[0].bit_length() - 2, qubits)[:, None]  # N - 1 - k
+    bits = (rows >> shifts) & 1
+    flipped = rows ^ (1 << shifts)
+    m.take(flipped, axis=0, out=out, mode="clip")
+    yield np.conjugate(out, out=out)
+    m.take(flipped, axis=0, out=out, mode="clip")  # the consumer may have reused out
+    np.multiply(out, _Y_PHASES[bits][..., None], out=out)
+    yield np.conjugate(out, out=out)
+    np.multiply(m, _Z_SIGNS[bits][..., None], out=out)
+    yield np.conjugate(out, out=out)
 
 
-def _correlation_given_root(root: np.ndarray, qubit_index: int) -> tuple[np.ndarray, float]:
-    """The correlation matrix and its largest eigenvalue, after checking that
-    its eigenvalues lie in [0, 1] up to RANGE_TOL.
+def _correlations_given_root(root: np.ndarray, qubits: range) -> tuple[np.ndarray, np.ndarray]:
+    """The correlation matrices of the qubits, stacked (len(qubits), 3, 3),
+    and their eigenvalues, ascending, after checking that every entry is
+    real up to IMAG_TOL and every eigenvalue lies in [0, 1] up to RANGE_TOL.
+    The lowest failing qubit is reported, its entries before its eigenvalues.
 
     root is a Spectrum's root: S = sqrt(rho), or on the support route its
     d x r factor F with S = F F^dagger. For a state validate accepts, S is
-    Hermitian with Tr S^2 = Tr rho, so the IMAG_TOL and RANGE_TOL checks
-    fail only on an arithmetic fault.
+    Hermitian with Tr S^2 = Tr rho, so the checks fail only on an arithmetic
+    fault.
     """
-    # Tr[S s_i S s_j] = sum_ab (S s_i)_ab (S s_j)_ba, so three products serve
-    # all six entries. linalg.spectrum stores S exactly Hermitian, so
-    # S s_i = (s_i S)^H, the transpose of conj(s_i S), bit for bit. With S = F F^dagger the trace equals
-    # Tr[(F^H s_i F)(F^H s_j F)], the same sum over r x r products, where
-    # F^H s_i F = conj(s_i F)^T F.
-    rows = _conj_pauli_rows(root, qubit_index)
-    if root.shape[1] < root.shape[0]:
-        prods = [s.T @ root for s in rows]
+    # Tr[S s_i S s_j] = sum_ab (S s_i)_ab (S s_j)_ba = sum (T_i * B_j) with
+    # B_j = conj(s_j S) and T_i = B_i^T: linalg.spectrum stores S exactly
+    # Hermitian, so S s_i = (s_i S)^H bit for bit. Both operands are
+    # C-contiguous; the (z, z) entry reads B_z through its transpose instead,
+    # so only T_x and T_y are held. With S = F F^dagger the trace equals
+    # Tr[(F^H s_i F)(F^H s_j F)], summed over r x r products
+    # T_i = F^H s_i F = conj(s_i F)^T F.
+    d, r = root.shape
+    support = r < d
+    size = min(len(qubits), max(1, _CHUNK_ENTRIES // (d * r)))
+    gathered = np.empty((size, d, r), complex)
+    prods = np.empty((3 if support else 2, size, r, r), complex)  # r = d on the dense route
+    if support:  # the gather buffer is free once each product is formed
+        scratch = gathered.reshape(-1)[: size * r * r].reshape(size, r, r)
     else:
-        prods = [s.T.copy() for s in rows]  # the buffer is overwritten by the next
-    m = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(i, 3):  # lower triangle follows by symmetry of the trace
-            t = complex((prods[i] * prods[j].T).sum())
-            if abs(t.imag) > IMAG_TOL:
-                raise NumericalContractViolation(
-                    f"correlation entry ({i},{j}) has imaginary residue "
-                    f"{t.imag:.3e} > {IMAG_TOL:.0e}"
+        scratch = np.empty((size, d, d), complex)
+    traces = np.empty((len(qubits), len(_PAIRS)), complex)
+    for start in range(0, len(qubits), size):
+        chunk = qubits[start:start + size]
+        n = len(chunk)
+        for p, b in enumerate(_conj_pauli_stack(root, chunk, gathered[:n])):
+            if support:
+                np.matmul(b.swapaxes(1, 2), root, out=prods[p, :n])
+                second = prods[p, :n].swapaxes(1, 2)
+            else:
+                if p < 2:
+                    np.copyto(prods[p, :n], b.swapaxes(1, 2))
+                second = b
+            for i in range(p + 1):
+                first = prods[i, :n] if support or i < 2 else b.swapaxes(1, 2)
+                np.add.reduce(
+                    np.multiply(first, second, out=scratch[:n]),
+                    axis=(1, 2), out=traces[start:start + n, _PAIRS.index((i, p))],
                 )
-            m[i, j] = m[j, i] = t.real
+    m = traces.real[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
     w = np.linalg.eigvalsh(m)
-    if w[0] < -RANGE_TOL or w[-1] > 1 + RANGE_TOL:
+    bad_imag = np.abs(traces.imag) > IMAG_TOL
+    bad_range = (w[:, 0] < -RANGE_TOL) | (w[:, -1] > 1 + RANGE_TOL)
+    if bad_imag.any() or bad_range.any():
+        q = int((bad_imag.any(axis=1) | bad_range).argmax())
+        if bad_imag[q].any():
+            e = int(bad_imag[q].argmax())
+            i, j = _PAIRS[e]
+            raise NumericalContractViolation(
+                f"correlation entry ({i},{j}) has imaginary residue "
+                f"{traces[q, e].imag:.3e} > {IMAG_TOL:.0e}"
+            )
         raise NumericalContractViolation(
-            f"correlation matrix eigenvalues [{w[0]:.3e}, {w[-1]:.3e}] "
+            f"correlation matrix eigenvalues [{w[q, 0]:.3e}, {w[q, -1]:.3e}] "
             f"escape [0, 1] beyond {RANGE_TOL:.0e}"
         )
-    return m, float(w[-1])
+    return m, w
 
 
 def correlation_matrix(rho: DensityMatrix, qubit_index: int) -> np.ndarray:
@@ -114,7 +155,7 @@ def correlation_matrix(rho: DensityMatrix, qubit_index: int) -> np.ndarray:
     three mirrored).
     """
     _check_qubit(rho.n_qubits, qubit_index)
-    return _correlation_given_root(valid_root(rho), qubit_index)[0]
+    return _correlations_given_root(valid_root(rho), range(qubit_index, qubit_index + 1))[0][0]
 
 
 def _clamp_unit(value: float) -> float:
@@ -123,9 +164,9 @@ def _clamp_unit(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _lqu_given_root(root: np.ndarray, qubit_index: int) -> float:
-    _, lam_max = _correlation_given_root(root, qubit_index)
-    return _clamp_unit(1.0 - lam_max)
+def _lqus_given_root(root: np.ndarray, qubits: range) -> tuple[float, ...]:
+    w = _correlations_given_root(root, qubits)[1]
+    return tuple(_clamp_unit(1.0 - lam_max) for lam_max in w[:, -1].tolist())
 
 
 def lqu_bipartition(rho: DensityMatrix, qubit_index: int) -> float:
@@ -136,15 +177,15 @@ def lqu_bipartition(rho: DensityMatrix, qubit_index: int) -> float:
     of a pure qubit with the rest.
     """
     _check_qubit(rho.n_qubits, qubit_index)
-    return _lqu_given_root(valid_root(rho), qubit_index)
+    return _lqus_given_root(valid_root(rho), range(qubit_index, qubit_index + 1))[0]
 
 
 def lqu_all(rho: DensityMatrix) -> LquReport:
     """Per-bipartition values for every qubit plus their arithmetic mean.
 
-    The state's shared root serves every qubit; the mean sums in ascending
-    qubit order so results are order-independent.
+    The state's shared root serves every qubit, in chunks of qubits that
+    share each numpy call; the mean sums in ascending qubit order so results
+    are order-independent.
     """
-    root = valid_root(rho)
-    values = tuple(_lqu_given_root(root, q) for q in range(rho.n_qubits))
+    values = _lqus_given_root(valid_root(rho), range(rho.n_qubits))
     return LquReport(per_bipartition=values, mean=sum(values) / rho.n_qubits)

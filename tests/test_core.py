@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from itertools import islice
 
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from lqu.core import (
     IndexOutOfRange,
     NumericalContractViolation,
+    _CHUNK_ENTRIES,
     _clamp_unit,
-    _conj_pauli_rows,
-    _lqu_given_root,
+    _conj_pauli_stack,
+    _correlations_given_root,
+    _lqus_given_root,
     correlation_matrix,
     lqu_all,
     lqu_bipartition,
@@ -44,12 +47,18 @@ def random_noisy_state(seed, n_qubits=3):
     return mix_white_noise(random_pure(n_qubits, seed), noise)
 
 
+def conj_pauli(m, qubits, pauli):
+    """The index kernel's conj(s_p m) for Pauli 1, 2, 3 (x, y, z), stacked
+    over the qubits."""
+    out = np.empty((len(qubits),) + m.shape, dtype=complex)
+    return next(islice(_conj_pauli_stack(m, qubits, out), pauli - 1, None))
+
+
 def local_observable(n_qubits, qubit, pauli):
     """The 2^N x 2^N operator that the index kernel applies for Pauli
     1, 2, 3 (x, y, z) on one qubit, read off by running it on the identity:
     the kernel yields conj(s_p I)."""
-    rows = _conj_pauli_rows(np.eye(2**n_qubits, dtype=complex), qubit)
-    return np.conjugate(next(islice(rows, pauli - 1, None)))
+    return np.conjugate(conj_pauli(np.eye(2**n_qubits), range(qubit, qubit + 1), pauli)[0])
 
 
 # --- Pauli index kernel -----------------------------------------------------
@@ -86,11 +95,13 @@ def test_local_observable_matches_the_kronecker_product(n_qubits, qubit, pauli):
     expected = pauli_on(n_qubits, qubit, "xyz"[pauli - 1])
     np.testing.assert_array_equal(local_observable(n_qubits, qubit, pauli), expected)
     # The kernel indexes rows only, so a d x r factor and a real root take
-    # the same action.
+    # the same action, and a stack of every qubit holds this qubit's action
+    # at its place.
     d = 2**n_qubits
     for m in (complex_gaussian(rng_for(d + qubit), (d, 3)), rng_for(qubit).standard_normal((d, d))):
-        got = next(islice(_conj_pauli_rows(m, qubit), pauli - 1, None))
+        got = conj_pauli(m, range(qubit, qubit + 1), pauli)[0]
         np.testing.assert_allclose(got, np.conjugate(expected @ m), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(conj_pauli(m, range(n_qubits), pauli)[qubit], got)
 
 
 # --- skew-information oracle (tests/helpers.py) -----------------------------
@@ -251,6 +262,44 @@ def test_support_route_at_half_rank_holds_one_pauli_product_at_a_time():
     assert peak < 1.3 * 16 * d * d
 
 
+def test_dense_route_peak_memory_stays_at_four_matrices():
+    # N = 10, full rank: one qubit per chunk, whose gather buffer, T_x, T_y
+    # and one product buffer are four d x d matrices; the (z, z) entry reads
+    # B_z through its transpose instead of holding a T_z. The spectrum is
+    # formed before tracing.
+    d = 2**10
+    g = complex_gaussian(rng_for(d + 1), (d, d))
+    rho = dm(g @ g.conj().T / np.linalg.norm(g) ** 2, 10)
+    del g
+    assert rho.spectrum.root.shape == (d, d)
+    tracemalloc.start()
+    try:
+        lqu_all(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.1 * 16 * d * d
+
+
+@pytest.mark.parametrize("rank", ["1", "d/2", "d"])
+@pytest.mark.parametrize("n_qubits", range(1, 10))
+def test_per_qubit_entry_points_match_the_stacked_kernel(n_qubits, rank):
+    # One qubit alone gives the bits it gets inside the chunks of the whole
+    # register, on both routes.
+    d = 2**n_qubits
+    r = {"1": 1, "d/2": d // 2, "d": d}[rank]
+    g = complex_gaussian(rng_for(d + r), (d, r))
+    rho = dm(g @ g.conj().T / np.linalg.norm(g) ** 2, n_qubits)
+    assert rho.spectrum.root.shape == (d, r)
+    if (n_qubits, rank) in {(7, "d"), (8, "d/2")}:  # a chunk boundary splits the register
+        assert 1 < _CHUNK_ENTRIES // (d * r) < n_qubits
+    matrices = _correlations_given_root(rho.spectrum.root, range(n_qubits))[0]
+    report = lqu_all(rho)
+    for k in range(n_qubits):
+        assert lqu_bipartition(rho, k) == report.per_bipartition[k]
+        np.testing.assert_array_equal(correlation_matrix(rho, k), matrices[k])
+
+
 # --- the bridge between the two routes --------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -383,4 +432,35 @@ def test_clamp_snaps_rounding_but_raises_on_real_excursions():
     x0 = np.kron(PAULI["x"], np.eye(4))
     for bad_sqrt in (2 * np.eye(8), 0.1 * x0):
         with pytest.raises(NumericalContractViolation):
-            _lqu_given_root(bad_sqrt, 0)
+            _lqus_given_root(bad_sqrt, range(1))
+
+
+# A root with an anti-Hermitian part, 0.01i X, on one qubit: with S = b,
+# Tr[S s_x S s_z] picks up an imaginary part while (0,0) and (0,1) stay real.
+_ANTI_HERMITIAN = 0.5 * np.eye(2) + 0.1 * PAULI["z"] + 0.01j * PAULI["x"]
+
+
+def test_imaginary_residue_raises_naming_its_entry():
+    root = np.kron(_ANTI_HERMITIAN, np.eye(2)) / np.sqrt(2)
+    message = "correlation entry (0,2) has imaginary residue -4.000e-03 > 1e-10"
+    with pytest.raises(NumericalContractViolation, match=f"^{re.escape(message)}$"):
+        _lqus_given_root(root, range(2))
+
+
+@pytest.mark.parametrize(
+    "root, message",
+    [
+        # qubit 0 (2 I) fails only the range check; qubit 1 fails the
+        # imaginary check, which comes first within a qubit
+        (np.kron(2 * np.eye(2), _ANTI_HERMITIAN),
+         "correlation matrix eigenvalues [4.158e+00, 4.158e+00] escape [0, 1] beyond 1e-09"),
+        (np.kron(_ANTI_HERMITIAN, 2 * np.eye(2)),
+         "correlation entry (0,2) has imaginary residue -3.200e-02 > 1e-10"),
+    ],
+    ids=["range-then-imaginary", "imaginary-then-range"],
+)
+def test_lowest_failing_qubit_of_a_chunk_reports_its_own_check(root, message):
+    # Both qubits share one chunk; the report is the lower qubit's, the
+    # check a qubit-by-qubit loop would have raised first.
+    with pytest.raises(NumericalContractViolation, match=f"^{re.escape(message)}$"):
+        _lqus_given_root(root, range(2))

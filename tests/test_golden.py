@@ -68,6 +68,15 @@ def test_seven_qubit_random_report_matches_golden():
     assert report == (GOLDEN / "random_q7_s7.txt").read_bytes()
 
 
+def test_nine_qubit_random_report_matches_golden():
+    # Full rank at N = 9, where core's dense route takes one qubit per chunk,
+    # as on the N = 8 and 9 states of the benchmark's file workloads; the
+    # goldens above stop at N = 7, where a chunk holds four qubits.
+    report = stdout_of(["random", "--qubits", "9", "--seed", "7",
+                        "--pure-fraction", "0.6"])
+    assert report == (GOLDEN / "random_q9_s7.txt").read_bytes()
+
+
 # Low-rank states, which take the support route in core. rank2_q5.json is
 # 0.7 |random_pure(5, 1)><.| + 0.3 |random_pure(5, 2)><.|, written by
 # save_density_matrix.
