@@ -27,7 +27,9 @@ from .linalg import HERMITICITY_TOL, PSD_TOL, TRACE_TOL, Spectrum, spectrum
 
 # Largest qubit count the package accepts, checked by qubit_dimension before
 # anything of size 2^N is allocated. One complex d x d matrix takes
-# 16 * 4^N bytes (256 MiB at N = 12) and the dense path holds about ten.
+# 16 * 4^N bytes (256 MiB at N = 12). The dense path keeps a state's matrix
+# and root, and lqu_all works in at most four more (tests/test_core.py):
+# about six, 1.5 GiB at N = 12.
 MAX_QUBITS = 12
 
 

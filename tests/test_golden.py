@@ -1,14 +1,19 @@
 """Byte-identity gate: CLI outputs must match the checked-in golden files.
 
-The files under tests/golden/ were written by the command lines below. A
-change that alters any output byte (a digit of a value, a line ending, the
-JSON dump's float repr) fails here; regenerate the files only for an
-intended change of output.
+Each file under tests/golden/ that a command writes is named once, in
+GOLDENS, beside that command. Tier-1 runs every row in-process through
+cli.main; CI imports this module and runs every row through the installed
+`lqu` and `python -m lqu`. A change that alters any output byte (a digit of
+a value, a line ending, the JSON dump's float repr) fails here; regenerate
+the files only for an intended change of output.
 """
 
 import contextlib
 import io
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -19,76 +24,80 @@ from helpers import assigned_list
 TESTS = pathlib.Path(__file__).parent
 GOLDEN = TESTS / "golden"
 
-# curve_<family>.csv are the paper's curves on scripts/make_curve_data.py's
-# own grid, read from its SWEEPS list.
-SWEEPS = {
-    "sweep_ghz3.csv": ("ghz3", "0", "1", "11"),
-    "sweep_w4.csv": ("w4", "0", "1", "11"),
-    "sweep_kay.csv": ("kay", "2", "10", "9"),
-    **{f"curve_{row[0]}.csv": row
-       for row in assigned_list(TESTS.parent / "scripts" / "make_curve_data.py", "SWEEPS")},
-}
+# (command, golden of what it prints, golden of the file it writes at {out}).
+# {golden} is tests/golden; a row with no printed golden must print nothing.
+GOLDENS = [
+    ("random --qubits 5 --seed 7 --pure-fraction 0.6 --dump {out}",
+     "random_q5_s7.txt", "random_q5_s7.json"),
+    ("compute {golden}/random_q5_s7.json", "compute_q5_s7.txt", None),
+    # Full rank, so the dense route: pins its index kernel, S sigma_p formed
+    # as (sigma_p S)^dagger, above N = 6, where the block-Gram oracle in
+    # test_core reaches N = 8 but no other golden goes.
+    ("random --qubits 7 --seed 7 --pure-fraction 0.6", "random_q7_s7.txt", None),
+    # Full rank at N = 9, where core's dense route takes one qubit per chunk,
+    # as on the N = 8 and 9 states of the benchmark's file workloads; the
+    # goldens above stop at N = 7, where a chunk holds four qubits.
+    ("random --qubits 9 --seed 7 --pure-fraction 0.6", "random_q9_s7.txt", None),
+    # Low-rank states, which take the support route in core. rank2_q5.json is
+    # 0.7 |random_pure(5, 1)><.| + 0.3 |random_pure(5, 2)><.|, written by
+    # save_density_matrix.
+    ("random --qubits 5 --seed 7 --pure-fraction 1 --dump {out}",
+     "random_pure_q5_s7.txt", "random_pure_q5_s7.json"),
+    ("compute {golden}/rank2_q5.json", "compute_rank2_q5.txt", None),
+    ("sweep --family ghz3 --from 0 --to 1 --steps 11 --out {out}", None, "sweep_ghz3.csv"),
+    ("sweep --family w4 --from 0 --to 1 --steps 11 --out {out}", None, "sweep_w4.csv"),
+    ("sweep --family kay --from 2 --to 10 --steps 9 --out {out}", None, "sweep_kay.csv"),
+    # the paper's curves, on scripts/make_curve_data.py's own grid
+    *((f"sweep --family {family} --from {lo} --to {hi} --steps {steps} --out {{out}}",
+       None, f"curve_{family}.csv")
+      for family, lo, hi, steps in assigned_list(TESTS.parent / "scripts" / "make_curve_data.py",
+                                                 "SWEEPS")),
+]
 
 
-def stdout_of(argv):
+def mismatches(row, run, out):
+    """The goldens that row's command, run as run(argv) -> stdout bytes with
+    its written file at out, does not reproduce byte for byte."""
+    command, printed, written = row
+    got = [(printed, run([arg.format(golden=GOLDEN, out=out) for arg in command.split()]))]
+    if written:
+        got.append((written, pathlib.Path(out).read_bytes()))
+    return [name or f"stdout of {command}" for name, data in got
+            if data != ((GOLDEN / name).read_bytes() if name else b"")]
+
+
+def in_process(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
     return out.getvalue().encode()
 
 
-@pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_sweep_matches_golden(tmp_path, name):
-    family, lo, hi, steps = SWEEPS[name]
-    out = tmp_path / name
-    stdout_of(["sweep", "--family", family, "--from", lo, "--to", hi,
-               "--steps", steps, "--out", str(out)])
-    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+def entry_point(*prefix, env=None):
+    """A runner through an installed entry point, such as entry_point("lqu")."""
+    return lambda argv: subprocess.run([*prefix, *argv], env=env, capture_output=True,
+                                       check=True).stdout
 
 
-def test_random_report_and_dump_match_golden(tmp_path):
-    dump = tmp_path / "dump.json"
-    report = stdout_of(["random", "--qubits", "5", "--seed", "7",
-                        "--pure-fraction", "0.6", "--dump", str(dump)])
-    assert report == (GOLDEN / "random_q5_s7.txt").read_bytes()
-    assert dump.read_bytes() == (GOLDEN / "random_q5_s7.json").read_bytes()
+# Sweeps and reports run alike; two tests only name them apart.
+@pytest.mark.parametrize("row", [row for row in GOLDENS if not row[1]], ids=lambda row: row[2])
+def test_sweep_matches_golden(tmp_path, row):
+    assert mismatches(row, in_process, tmp_path / "out") == []
 
 
-def test_compute_of_golden_dump_matches_golden():
-    report = stdout_of(["compute", str(GOLDEN / "random_q5_s7.json")])
-    assert report == (GOLDEN / "compute_q5_s7.txt").read_bytes()
+@pytest.mark.parametrize("row", [row for row in GOLDENS if row[1]], ids=lambda row: row[1])
+def test_report_matches_golden(tmp_path, row):
+    assert mismatches(row, in_process, tmp_path / "out") == []
 
 
-def test_seven_qubit_random_report_matches_golden():
-    # Full rank, so the dense route: pins its index kernel, S sigma_p formed
-    # as (sigma_p S)^dagger, above N = 6, where the block-Gram oracle in
-    # test_core reaches N = 8 but no other golden goes.
-    report = stdout_of(["random", "--qubits", "7", "--seed", "7",
-                        "--pure-fraction", "0.6"])
-    assert report == (GOLDEN / "random_q7_s7.txt").read_bytes()
+def test_module_entry_point_matches_golden(tmp_path):
+    # one row, the random report and its dump, through lqu/__main__.py
+    env = {**os.environ, "PYTHONPATH": str(TESTS.parent / "src")}
+    run = entry_point(sys.executable, "-m", "lqu", env=env)
+    assert mismatches(GOLDENS[0], run, tmp_path / "out") == []
 
 
-def test_nine_qubit_random_report_matches_golden():
-    # Full rank at N = 9, where core's dense route takes one qubit per chunk,
-    # as on the N = 8 and 9 states of the benchmark's file workloads; the
-    # goldens above stop at N = 7, where a chunk holds four qubits.
-    report = stdout_of(["random", "--qubits", "9", "--seed", "7",
-                        "--pure-fraction", "0.6"])
-    assert report == (GOLDEN / "random_q9_s7.txt").read_bytes()
-
-
-# Low-rank states, which take the support route in core. rank2_q5.json is
-# 0.7 |random_pure(5, 1)><.| + 0.3 |random_pure(5, 2)><.|, written by
-# save_density_matrix.
-
-def test_pure_random_report_and_dump_match_golden(tmp_path):
-    dump = tmp_path / "dump.json"
-    report = stdout_of(["random", "--qubits", "5", "--seed", "7",
-                        "--pure-fraction", "1", "--dump", str(dump)])
-    assert report == (GOLDEN / "random_pure_q5_s7.txt").read_bytes()
-    assert dump.read_bytes() == (GOLDEN / "random_pure_q5_s7.json").read_bytes()
-
-
-def test_compute_of_rank_two_file_matches_golden():
-    report = stdout_of(["compute", str(GOLDEN / "rank2_q5.json")])
-    assert report == (GOLDEN / "compute_rank2_q5.txt").read_bytes()
+def test_every_golden_is_in_the_table():
+    # rank2_q5.json is an input, written by save_density_matrix, not a command
+    named = {name for _, *names in GOLDENS for name in names if name}
+    assert named | {"rank2_q5.json"} == {path.name for path in GOLDEN.iterdir()}

@@ -137,6 +137,13 @@ def test_density_matrix_rejects_non_finite_entries(matrix, where):
         DensityMatrix(1, matrix)
 
 
+@pytest.mark.parametrize("matrix", [np.eye(3), np.ones((4, 2))])
+def test_density_matrix_rejects_a_matrix_of_the_wrong_shape(matrix):
+    with pytest.raises(ValueError, match=re.escape(
+            f"matrix has shape {matrix.shape}, expected (4, 4) for 2 qubits")):
+        DensityMatrix(2, matrix)
+
+
 def test_mix_rejects_out_of_range_noise():
     psi = pure_state("ghz3")
     for bad in (-0.1, 1.1):
