@@ -15,17 +15,19 @@ import argparse
 import csv
 import sys
 from collections.abc import Iterator
+from functools import partial
 
 import numpy as np
 
 from .analytic import check_noise
-from .core import LquReport, NumericalContractViolation, lqu_all
+from .core import SWEEP_ENTRIES, LquReport, NumericalContractViolation, lqu_all
 from .linalg import NoConvergence
 from .states import (
     FAMILY_NAMES,
     InvalidDensityMatrix,
     build_state,
     closed_form_for,
+    decompose_together,
     family_row,
     load_density_matrix,
     output_file,
@@ -86,26 +88,35 @@ def cmd_compute(args) -> int:
 
 def sweep_rows(args, params: np.ndarray) -> Iterator[list[str]]:
     """The sweep the parsed arguments describe at the grid params, as CSV
-    rows: the header, then one row per point, each computed as it is asked
-    for, so memory does not grow with the number of points."""
+    rows: the header, then one row per point. The grid is walked in chunks
+    of core.SWEEP_ENTRIES entries' worth of states, each chunk's states
+    decomposed by one stacked eigh and its rows yielded before the next chunk
+    is built, so memory does not grow with the number of points."""
     formula = closed_form_for(args.family)
-    for i, p in enumerate(map(float, params)):
-        rho = build_state(args.family, p, args.qubits, args.seed)
-        if i == 0:
-            yield ["param"] + [f"q{k}" for k in range(rho.n_qubits)] + ["mean", "analytic"]
-        report = lqu_all(rho)
-        analytic = _fmt(formula(p)) if formula is not None else ""
-        yield ([_fmt(p)] + [_fmt(v) for v in report.per_bipartition]
-               + [_fmt(report.mean), analytic])
+    build = partial(build_state, args.family, n_qubits=args.qubits, seed=args.seed)
+    states = [build(float(params[0]))]  # names the header's qubits and sizes the chunks
+    yield ["param"] + [f"q{k}" for k in range(states[0].n_qubits)] + ["mean", "analytic"]
+    size = max(1, SWEEP_ENTRIES // states[0].dim ** 2)
+    for start in range(0, len(params), size):
+        chunk = params[start:start + size].tolist()
+        states += map(build, chunk[len(states):])  # the first chunk has its first state
+        for p, rho in zip(chunk, decompose_together(states)):
+            report = lqu_all(rho)
+            analytic = _fmt(formula(p)) if formula is not None else ""
+            yield ([_fmt(p)] + [_fmt(v) for v in report.per_bipartition]
+                   + [_fmt(report.mean), analytic])
+        states = []
 
 
 def cmd_sweep(args) -> int:
     _check_sweep(args)
     # np.linspace pins both endpoints exactly; interior points are uniform.
     # Built first: a grid numpy refuses must not cost the user's --out file.
+    # numpy refuses a grid too large to index or to hold, and near 2^63
+    # points builds an empty one and then fails to index it.
     try:
         params = np.linspace(args.param_from, args.param_to, args.steps)
-    except (ValueError, MemoryError) as exc:  # too many points to index or to hold
+    except (ValueError, MemoryError, IndexError) as exc:
         raise ValueError(f"--steps {args.steps}: {exc}") from None
     # Open before computing, so a bad path fails before any work is done.
     with output_file(args.out) as fh:

@@ -1,6 +1,6 @@
 """Complex linear algebra helpers for small dense Hermitian problems.
 
-Everything here operates on square numpy arrays of complex128. The heavy
+Everything here operates on stacks of square complex128 matrices. The heavy
 lifting (eigendecomposition) is delegated to LAPACK via numpy; this module
 measures what states.validate checks, and holds the package's one table of
 numerical tolerances.
@@ -50,41 +50,53 @@ class Spectrum:
     root: np.ndarray
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation |m - m^dagger|; inf when it overflows."""
-    with np.errstate(over="ignore"):  # finite entries near the float maximum
-        return float(np.abs(m - m.conj().T).max())
-
-
 def spectrum(m) -> Spectrum:
-    """Hermiticity defect, eigenvalues and square root from one eigh.
+    """The Spectrum of one matrix: the stack of one of spectra."""
+    return spectra(np.asarray(m, dtype=complex)[None])[0]
+
+
+def spectra(stack) -> list[Spectrum]:
+    """Hermiticity defect, eigenvalues and square root of each matrix of a
+    (P, d, d) stack, from one stacked eigh.
 
     Never raises on a non-Hermitian or non-PSD input, so validation can
     report such defects as data.
-    Eigenvalues below dim * eps * max|lambda| are zeroed in the root: for
-    rank-deficient input the eigensolver reports the null space as O(eps)
-    noise, and sqrt would amplify +1e-16 to 1e-8. The kept eigenvalues are
-    rescaled to sum to the trace, so Tr S^2 = Tr m although the negative
-    mass states.validate admits is dropped; the rescale is skipped unless
-    both sums are positive and finite. The r eigenvalues above the floor
-    pick the route: for 2r <= d the root is stored as its d x r factor,
-    whose r x r products with an operator cost less than S's.
+    Eigenvalues below d * eps * max|lambda| of their own matrix are zeroed in
+    its root: for rank-deficient input the eigensolver reports the null space
+    as O(eps) noise, and sqrt would amplify +1e-16 to 1e-8. The kept
+    eigenvalues are rescaled to sum to the trace, so Tr S^2 = Tr m although
+    the negative mass states.validate admits is dropped; the rescale is
+    skipped unless both sums are positive and finite. The r eigenvalues above
+    the floor pick each matrix's route: for 2r <= d the root is stored as its
+    d x r factor, whose r x r products with an operator cost less than S's.
+    Every step works on each matrix alone, so a matrix gets the same bits in
+    any stack as in a stack of one.
     """
-    a = np.asarray(m, dtype=complex)
+    a = np.asarray(stack, dtype=complex)
     try:  # on the exactly-Hermitian part, so LAPACK sees clean input; halving
         # first is exact for normal floats and cannot overflow
-        w, v = np.linalg.eigh(a / 2 + a.conj().T / 2)
+        w, v = np.linalg.eigh(a / 2 + a.conj().swapaxes(1, 2) / 2)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
-    d = w.shape[0]
-    floor = d * np.finfo(float).eps * np.abs(w).max(initial=0.0)
-    kept = w > floor
-    rank = int(np.count_nonzero(kept))
-    with np.errstate(over="ignore", invalid="ignore"):  # eigenvalues near the float maximum
-        trace, mass = w.sum(), w[d - rank:].sum()  # ascending: the kept are last
-    scale = trace / mass if 0 < trace < np.inf and 0 < mass < np.inf else 1.0
-    root_w = np.where(kept, w * scale, 0.0)
-    if 2 * rank <= d:  # ascending, so the support is the last r columns
-        return Spectrum(hermiticity_defect(a), w, v[:, d - rank:] * root_w[d - rank:] ** 0.25)
-    root = (v * np.sqrt(root_w)) @ v.conj().T
-    return Spectrum(hermiticity_defect(a), w, (root + root.conj().T) / 2)
+    d = w.shape[1]
+    with np.errstate(over="ignore"):  # finite entries near the float maximum
+        defects = np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2)).tolist()
+    kept = w > d * np.finfo(float).eps * np.abs(w).max(axis=1, keepdims=True)
+    ranks = kept.sum(axis=1).tolist()
+    with np.errstate(all="ignore"):  # eigenvalues near the float maximum, zero sums
+        traces = w.sum(axis=1)
+        # over each matrix's own kept eigenvalues, the last (ascending): the
+        # floored zeros summed in would regroup numpy's pairwise sum
+        masses = np.array([w[i, d - r:].sum() for i, r in enumerate(ranks)])
+        scales = np.where((0 < traces) & (traces < np.inf) & (0 < masses) & (masses < np.inf),
+                          traces / masses, 1.0)
+    root_w = np.where(kept, w * scales[:, None], 0.0)
+    roots = [v[i, :, d - r:] * root_w[i, d - r:] ** 0.25 if 2 * r <= d else None
+             for i, r in enumerate(ranks)]  # ascending, so the support is the last r columns
+    dense = [i for i, r in enumerate(ranks) if 2 * r > d]
+    if dense:
+        vd = v[dense] if len(dense) < len(v) else v  # all dense, as a stack of one: no copy
+        root = (vd * np.sqrt(root_w[dense])[:, None, :]) @ vd.conj().swapaxes(1, 2)
+        for i, s in zip(dense, (root + root.conj().swapaxes(1, 2)) / 2):
+            roots[i] = s
+    return [Spectrum(defect, wi, root) for defect, wi, root in zip(defects, w, roots)]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .analytic import (check_gamma, check_noise, lqu_ghz3, lqu_ghz4_class, lqu_kay,
                        lqu_w3, lqu_w4)
-from .linalg import HERMITICITY_TOL, PSD_TOL, TRACE_TOL, Spectrum, spectrum
+from .linalg import HERMITICITY_TOL, PSD_TOL, TRACE_TOL, Spectrum, spectra, spectrum
 
 # Largest qubit count the package accepts, checked by qubit_dimension before
 # anything of size 2^N is allocated. One complex d x d matrix takes
@@ -100,9 +100,21 @@ class DensityMatrix:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        """The one eigendecomposition of this state: validate and every
-        sqrt(rho) in core read it."""
+        """The one eigendecomposition of this state, unless
+        decompose_together gave it one: validate and every sqrt(rho) in core
+        read it."""
         return spectrum(self.matrix)
+
+
+def decompose_together(states: list[DensityMatrix]) -> list[DensityMatrix]:
+    """states, of one dimension, each given the spectrum one stacked eigh of
+    all their matrices yields, which is bit for bit the one it would compute
+    alone. A lone state is left to decompose its own matrix on first use,
+    as a stack of one would only copy it."""
+    if len(states) > 1:
+        for rho, spec in zip(states, spectra(np.stack([rho.matrix for rho in states]))):
+            rho.__dict__["spectrum"] = spec  # where cached_property keeps it
+    return states
 
 
 @dataclass(frozen=True)

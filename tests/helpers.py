@@ -1,6 +1,7 @@
 """Shared test utilities: seeded random matrices, a partial-trace oracle,
-skew-information oracles and a per-entry reference parser for the
-density-matrix JSON format.
+skew-information oracles, the one-matrix spectrum arithmetic that
+lqu.linalg stacks and a per-entry reference parser for the density-matrix
+JSON format.
 
 Everything here is deliberately independent of the library internals so it
 can serve as an oracle for them. The two exceptions are root_matrix, which
@@ -85,6 +86,29 @@ def root_matrix(spec):
         return root
     s = root @ root.conj().T
     return (s + s.conj().T) / 2
+
+
+def spectrum_alone(m):
+    """(Hermiticity defect, eigenvalues, root) of one matrix, by the
+    arithmetic lqu.linalg.spectra applies to each matrix of a stack, written
+    for one 2-D matrix: the reference its stacked results must equal byte for
+    byte."""
+    a = np.asarray(m, dtype=complex)
+    w, v = np.linalg.eigh(a / 2 + a.conj().T / 2)
+    d = w.shape[0]
+    kept = w > d * np.finfo(float).eps * np.abs(w).max()
+    rank = int(np.count_nonzero(kept))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace, mass = w.sum(), w[d - rank:].sum()
+    scale = trace / mass if 0 < trace < np.inf and 0 < mass < np.inf else 1.0
+    root_w = np.where(kept, w * scale, 0.0)
+    if 2 * rank <= d:
+        root = v[:, d - rank:] * root_w[d - rank:] ** 0.25
+    else:
+        root = (v * np.sqrt(root_w)) @ v.conj().T
+        root = (root + root.conj().T) / 2
+    with np.errstate(over="ignore"):
+        return float(np.abs(a - a.conj().T).max()), w, root
 
 
 def agreed_violations(rho):

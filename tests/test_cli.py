@@ -208,10 +208,11 @@ print(peak(200), peak(2000))
 
 
 def test_sweep_memory_does_not_grow_with_the_steps(tmp_path):
-    # Each row is written before the next point is computed, so the traced
-    # peak of a 2000-point sweep stays within 64 KiB of a 200-point one; the
-    # grid itself, 8 B a point, is the only part that grows. Holding every
-    # row until the end costs about 0.5 KB a point. The sweeps run in a
+    # Rows are written one chunk at a time (core.SWEEP_ENTRIES: 32 points at
+    # N = 3), each chunk before the next is built, so the traced peak of a
+    # 2000-point sweep stays within 64 KiB of a 200-point one; the grid
+    # itself, 8 B a point, is the only part that grows. Holding every row
+    # until the end costs about 0.5 KB a point. The sweeps run in a
     # fresh interpreter, as the command does: in one that has imported the
     # other test modules (mpmath among them) the peak also holds up to about
     # 64 B a point of interpreter memory that gc.collect() gives back while
@@ -256,7 +257,11 @@ def test_sweep_failing_on_a_pipe_keeps_the_pipe(tmp_path, capsys):
     # the second's 7.28 TiB allocation fails before any element is written
     (["--family", "ghz3", "--steps", str(10**20)], f"error: --steps {10**20}: "),
     (["--family", "ghz3", "--steps", str(10**12)], f"error: --steps {10**12}: "),
-], ids=["qubits-over-limit", "grid-too-large", "grid-out-of-memory"])
+    # near 2^63 points numpy builds an empty grid and then fails to index it
+    *((["--family", "w4", "--steps", str(n)], f"error: --steps {n}: ")
+      for n in (2**63 - 512, 2**63, 2**63 + 1024)),
+], ids=["qubits-over-limit", "grid-too-large", "grid-out-of-memory",
+        "grid-2^63-512", "grid-2^63", "grid-2^63+1024"])
 def test_sweep_rejected_config_keeps_existing_out(tmp_path, capsys, argv, prefix):
     out = tmp_path / "keep.csv"
     out.write_bytes(b"param,mean\n0.5,0.25\n")

@@ -13,14 +13,17 @@ exact LQU by about 2.6e-9 (random N=3, seed 5). The dense path treats them
 as zeros, as it should, so the oracle does too; every eigenvalue of the
 noisy cases lies far above the floor. The p = 0 states of rank 1 and 2 take
 core's support route (a d x r factor of the root), the others its dense
-route.
+route. A w4 sweep just above p = 0 is held to its closed form instead.
 """
+
+import csv
 
 import mpmath
 import numpy as np
 import pytest
 
 import lqu
+from lqu import cli
 
 from helpers import pauli_on, random_density
 
@@ -70,3 +73,18 @@ def test_dense_path_matches_50_digit_oracle(n_qubits, rank, noise, tol):
     err = max(abs(mpmath.mpf(g) - e) for g, e in zip(got, exact))
     assert err <= tol, f"dense error {mpmath.nstr(err, 3)}"
 
+
+def test_w4_sweep_just_above_pure_keeps_eight_digits(tmp_path):
+    # The W state's small eigenvalues, p / 16, lie only 6 to 24 times above
+    # the floor, and the root amplifies eigh's absolute error in them: the
+    # q-values of this symmetric state can differ from qubit to qubit in
+    # digits the machine's LAPACK rounding sets, but not by 1e-8.
+    out = tmp_path / "w4.csv"
+    assert cli.main(["sweep", "--family", "w4", "--from", "0", "--to", "1e-12",
+                     "--steps", "5", "--out", str(out)]) == 0
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    for row in rows:
+        for k in range(4):
+            assert abs(float(row[f"q{k}"]) - float(row["analytic"])) <= 1e-8, row

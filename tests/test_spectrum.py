@@ -1,26 +1,41 @@
-"""One eigendecomposition per state, shared by every consumer."""
+"""One eigendecomposition per state, shared by every consumer; a sweep's
+states decomposed together, each as it would be alone."""
+
+import math
 
 import numpy as np
 import pytest
 
 import lqu
 from lqu import cli
-from lqu.linalg import HERMITICITY_TOL, spectrum
+from lqu.core import SWEEP_ENTRIES
+from lqu.linalg import HERMITICITY_TOL, spectra, spectrum
 
-from helpers import (agreed_violations, complex_gaussian, haar_unitary, random_density, rng_for,
-                     root_matrix)
+from helpers import (agreed_violations, complex_gaussian, haar_unitary, random_density,
+                     random_hermitian, rng_for, root_matrix, spectrum_alone)
+from test_golden import GOLDENS
+
+
+class Decompositions(list):
+    """The dimension of each matrix decomposed, once for each matrix of a
+    stack; calls holds the shape of each call's argument."""
+
+    calls: list
 
 
 @pytest.fixture
 def dense_eigs(monkeypatch):
-    """Record the dimension of every numpy eigh/eigvalsh call; the 3x3
+    """Record every matrix numpy's eigh/eigvalsh decomposes; the 3x3
     correlation eigenvalues are told apart by the caller."""
-    dims = []
+    dims = Decompositions()
+    dims.calls = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
 
         def counted(a, *args, _real=real, **kwargs):
-            dims.append(np.shape(a)[0])
+            shape = np.shape(a)
+            dims.calls.append(shape)
+            dims.extend([shape[-1]] * math.prod(shape[:-2]))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -96,6 +111,77 @@ def test_sweep_decomposes_each_point_once_on_either_route(tmp_path, dense_eigs):
                      "--steps", "2", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 3
     assert dense_eigs.count(16) == 2
+
+
+def test_sweep_decomposes_its_points_a_chunk_at_a_time(tmp_path, dense_eigs):
+    out = tmp_path / "w4.csv"
+    assert cli.main(["sweep", "--family", "w4", "--from", "0", "--to", "1",
+                     "--steps", "101", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 102
+    chunk = SWEEP_ENTRIES // 16**2
+    assert chunk > 1
+    assert dense_eigs.count(16) == 101
+    assert [shape[-1] for shape in dense_eigs.calls].count(16) == math.ceil(101 / chunk)
+
+
+def assert_same_spectrum(spec, m):
+    defect, w, root = spectrum_alone(m)
+    assert spec.hermiticity_defect.hex() == defect.hex()
+    assert (spec.eigenvalues.tobytes(), spec.root.shape, spec.root.tobytes()) == (
+        w.tobytes(), root.shape, root.tobytes())
+
+
+def test_stacked_spectra_match_each_matrix_alone():
+    # Every route in one stack: rank 1 and rank 2 (support), kay at gamma = 2
+    # (dense, its three zero eigenvalues floored), full rank (dense), full
+    # rank with an anti-Hermitian part that validate admits, and a matrix
+    # whose least eigenvalue lies above its own floor but below the others'.
+    eight = [lqu.mix_white_noise(lqu.random_pure(3, 5), 0.0).matrix,
+             lqu.kay_state(2.0).matrix, state_of_rank(2, 8, 3), random_density(4, 8),
+             random_density(6, 8) + 1j * HERMITICITY_TOL / 8 * random_hermitian(7, 8),
+             np.diag([1e-17] + [1e-3] * 7)]
+    # At d = 16 the floored zeros summed in with the kept eigenvalues would
+    # regroup numpy's pairwise sum; for this rank-12 matrix that moves bits.
+    sixteen = [state_of_rank(12, 16, 1), lqu.mix_white_noise(lqu.pure_state("w4"), 0.0).matrix,
+               random_density(5, 16)]
+    assert np.abs(spectrum(eight[1]).eigenvalues[:3]).max() < 1e-15
+    for matrices, ranks in ((eight, [1, 8, 2, 8, 8, 8]), (sixteen, [16, 1, 16])):
+        got = spectra(np.stack(matrices))
+        assert [spec.root.shape[1] for spec in got] == ranks
+        for spec, m in zip(got, matrices):
+            assert_same_spectrum(spec, m)
+            assert_same_spectrum(spectrum(m), m)
+
+
+def hexes(report):
+    return [v.hex() for v in (*report.per_bipartition, report.mean)]
+
+
+# Every golden grid, w4 just above its pure state, and seeded random sweeps at
+# N = 1...8; the chunk holds 32 points at N = 3 and 8 at N = 4, so curve_kay's
+# first chunk mixes gamma = 2 with full rank and its last holds 17 of 81
+# points. From N = 6 a chunk is one point.
+_SWEEPS = [command for command, _, _ in GOLDENS if command.startswith("sweep")] + [
+    "sweep --family w4 --from 0 --to 1e-12 --steps 5 --out {out}"] + [
+    f"sweep --family random --qubits {n} --seed {n} --from 0 --to 1 "
+    f"--steps {41 if n <= 5 else 4} --out {{out}}" for n in range(1, 9)]
+
+
+@pytest.mark.parametrize("command", _SWEEPS, ids=lambda c: "-".join(c.split()[2:-2:2]))
+def test_sweep_point_matches_the_state_decomposed_alone(tmp_path, monkeypatch, command):
+    points, real = [], cli.lqu_all
+
+    def recorded(rho):
+        points.append((rho, real(rho)))
+        return points[-1][1]
+
+    monkeypatch.setattr(cli, "lqu_all", recorded)
+    argv = command.format(out=tmp_path / "out.csv").split()
+    assert cli.main(argv) == 0
+    assert len(points) == int(argv[argv.index("--steps") + 1])
+    for rho, report in points:
+        assert_same_spectrum(rho.spectrum, rho.matrix)
+        assert hexes(report) == hexes(real(lqu.DensityMatrix(rho.n_qubits, rho.matrix)))
 
 
 def state_of_rank(rank, dim, seed):

@@ -468,10 +468,9 @@ def _json_dumps_layout(rho, indent=None):
     pytest.param(lambda rho: _json_dumps_layout(rho, indent=1), id="json-dumps-indent-1"),
 ])
 def test_parse_decodes_rows_in_bounded_memory(dump):
-    # Every writer layout is walked one row at a time, so the traced peak is
-    # the converted rows and the matrix built from them, about 0.7x the text
-    # (0.5x indented); the whole-document decode any other layout takes
-    # peaks at about 3.3x.
+    # Every writer layout is walked one row at a time, so the traced peak,
+    # the converted rows and the matrix built from them, stays below 1.5x
+    # the text.
     state = mix_white_noise(random_pure(8, 3), 0.25)
     text = dump(state)
     tracemalloc.start()
