@@ -17,6 +17,7 @@ route. A w4 sweep just above p = 0 is held to its closed form instead.
 """
 
 import csv
+import pathlib
 
 import mpmath
 import numpy as np
@@ -25,7 +26,7 @@ import pytest
 import lqu
 from lqu import cli
 
-from helpers import pauli_on, random_density
+from helpers import assigned_list, pauli_on, random_density
 
 
 def exact_lqu(matrix, n_qubits):
@@ -88,3 +89,59 @@ def test_w4_sweep_just_above_pure_keeps_eight_digits(tmp_path):
     for row in rows:
         for k in range(4):
             assert abs(float(row[f"q{k}"]) - float(row["analytic"])) <= 1e-8, row
+
+
+def _exact_closed_form(family, x):
+    """The family's closed form at the float x, taken as exact, at 50 digits;
+    typed here from the paper, apart from lqu.analytic."""
+    x = mpmath.mpf(x)
+    if family == "kay":
+        return (2 + x - mpmath.sqrt((x - 2) * (x + 6))) / (4 * (1 + x))
+    if family == "ghz3":
+        return 1 - (3 * x + mpmath.sqrt(x * (8 - 7 * x))) / 4
+    if family == "w3":
+        s = mpmath.sqrt(x * (8 - 7 * x))
+        return 1 - max((3 * x + s) / 4, (1 + 6 * x + 2 * s) / 9)
+    if family == "w4":
+        return 1 - (8 + 21 * x + 3 * mpmath.sqrt(x * (16 - 15 * x))) / 32
+    return 1 - (7 * x + mpmath.sqrt(x * (16 - 15 * x))) / 8  # GHZ4, Dicke, singlet, cluster, chi
+
+
+SWEEPS = assigned_list(pathlib.Path(__file__).parents[1] / "scripts" / "make_curve_data.py",
+                       "SWEEPS")
+
+# The first and last values each curve golden prints for every q<k> and the
+# mean: 0 at p = 1 on the noise families, the pure state's value at p = 0,
+# and 1/3 at kay's gamma = 2.
+_CURVE_ENDPOINTS = {"ghz3": ("1", "0"), "w3": ("0.888888888889", "0"),
+                    "ghz4": ("1", "0"), "w4": ("0.75", "0"), "dicke24": ("1", "0"),
+                    "singlet4": ("1", "0"), "cluster4": ("1", "0"), "chi4": ("1", "0"),
+                    "kay": ("0.333333333333", None)}
+
+
+def test_curve_sweeps_meet_their_50_digit_closed_forms(tmp_path, monkeypatch):
+    # Every q<k> and the mean of the nine paper curves, read from the sweep
+    # with every digit (repr in place of the 12-digit format), lies within
+    # 1e-14 of the closed form at the point's float parameter: the gate on
+    # accuracy beside the byte gate on the goldens, which holds only the
+    # printed 12 digits. The printed endpoints are pinned as well.
+    fmt = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", repr)
+    with mpmath.workdps(50):
+        for family, lo, hi, steps in SWEEPS:
+            out = tmp_path / f"{family}.csv"
+            assert cli.main(["sweep", "--family", family, "--from", lo, "--to", hi,
+                             "--steps", steps, "--out", str(out)]) == 0
+            with out.open() as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == int(steps)
+            values = [[float(v) for k, v in row.items() if k not in ("param", "analytic")]
+                      for row in rows]
+            for row, got in zip(rows, values):
+                exact = _exact_closed_form(family, float(row["param"]))
+                err = max(abs(mpmath.mpf(v) - exact) for v in got)
+                assert err <= 1e-14, (family, row["param"], mpmath.nstr(err, 3))
+            first, last = _CURVE_ENDPOINTS[family]
+            assert {fmt(v) for v in values[0]} == {first}, family
+            if last is not None:
+                assert {fmt(v) for v in values[-1]} == {last}, family
