@@ -88,6 +88,7 @@ def lqu_kay(gamma: float) -> float:
     that numerator cancels to about 2/g and keeps no correct digit by
     g ~ 1e9.
     """
+    gamma = float(gamma)  # numpy scalar arithmetic would warn on overflow near GAMMA_MAX
     check_gamma(gamma)
     root = math.sqrt(gamma - 2.0) * math.sqrt(gamma + 6.0)
     return 4.0 / ((1.0 + gamma) * (2.0 + gamma + root))

@@ -15,19 +15,20 @@ import argparse
 import csv
 import sys
 from collections.abc import Iterator
-from functools import partial
+from functools import cache
+from itertools import chain
 
 import numpy as np
 
 from .analytic import check_noise
-from .core import SWEEP_ENTRIES, LquReport, NumericalContractViolation, lqu_all
+from .core import LquReport, NumericalContractViolation, lqu_all
 from .linalg import NoConvergence
 from .states import (
     FAMILY_NAMES,
     InvalidDensityMatrix,
     build_state,
+    build_states,
     closed_form_for,
-    decompose_together,
     family_row,
     load_density_matrix,
     output_file,
@@ -88,24 +89,18 @@ def cmd_compute(args) -> int:
 
 def sweep_rows(args, params: np.ndarray) -> Iterator[list[str]]:
     """The sweep the parsed arguments describe at the grid params, as CSV
-    rows: the header, then one row per point. The grid is walked in chunks
-    of core.SWEEP_ENTRIES entries' worth of states, each chunk's states
-    decomposed by one stacked eigh and its rows yielded before the next chunk
-    is built, so memory does not grow with the number of points."""
+    rows: the header, named from the first state, then one row per point,
+    each as build_states yields its state."""
     formula = closed_form_for(args.family)
-    build = partial(build_state, args.family, n_qubits=args.qubits, seed=args.seed)
-    states = [build(float(params[0]))]  # names the header's qubits and sizes the chunks
-    yield ["param"] + [f"q{k}" for k in range(states[0].n_qubits)] + ["mean", "analytic"]
-    size = max(1, SWEEP_ENTRIES // states[0].dim ** 2)
-    for start in range(0, len(params), size):
-        chunk = params[start:start + size].tolist()
-        states += map(build, chunk[len(states):])  # the first chunk has its first state
-        for p, rho in zip(chunk, decompose_together(states)):
-            report = lqu_all(rho)
-            analytic = _fmt(formula(p)) if formula is not None else ""
-            yield ([_fmt(p)] + [_fmt(v) for v in report.per_bipartition]
-                   + [_fmt(report.mean), analytic])
-        states = []
+    states = build_states(args.family, params, args.qubits, args.seed)
+    first = next(states)
+    yield ["param"] + [f"q{k}" for k in range(first.n_qubits)] + ["mean", "analytic"]
+    # each p a Python float, the type the closed forms are written for
+    for p, rho in zip(map(float, params), chain([first], states)):
+        report = lqu_all(rho)
+        analytic = _fmt(formula(p)) if formula is not None else ""
+        yield ([_fmt(p)] + [_fmt(v) for v in report.per_bipartition]
+               + [_fmt(report.mean), analytic])
 
 
 def cmd_sweep(args) -> int:
@@ -135,6 +130,7 @@ def cmd_random(args) -> int:
     return 0
 
 
+@cache  # built once per process: parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lqu",

@@ -31,12 +31,6 @@ _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # computed entries, i
 # is one numpy call per state.
 _CHUNK_ENTRIES = 2**16
 
-# A sweep walks its grid in chunks of points, the stack of a chunk's d x d
-# matrices holding at most this many entries, and decomposes each chunk with
-# one stacked eigh (states.decompose_together): 32 points at N = 3, 8 at
-# N = 4, 2 at N = 5, and one point from N = 6, where each is decomposed alone.
-SWEEP_ENTRIES = 2**11
-
 
 class IndexOutOfRange(IndexError):
     """Qubit index outside its valid range."""

@@ -14,8 +14,8 @@ import re
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, partial
+from itertools import chain, islice
 from json.scanner import make_scanner
 from typing import Callable, TextIO
 
@@ -100,21 +100,9 @@ class DensityMatrix:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        """The one eigendecomposition of this state, unless
-        decompose_together gave it one: validate and every sqrt(rho) in core
-        read it."""
+        """The one eigendecomposition of this state, unless build_states
+        gave it one: validate and every sqrt(rho) in core read it."""
         return spectrum(self.matrix)
-
-
-def decompose_together(states: list[DensityMatrix]) -> list[DensityMatrix]:
-    """states, of one dimension, each given the spectrum one stacked eigh of
-    all their matrices yields, which is bit for bit the one it would compute
-    alone. A lone state is left to decompose its own matrix on first use,
-    as a stack of one would only copy it."""
-    if len(states) > 1:
-        for rho, spec in zip(states, spectra(np.stack([rho.matrix for rho in states]))):
-            rho.__dict__["spectrum"] = spec  # where cached_property keeps it
-    return states
 
 
 @dataclass(frozen=True)
@@ -166,22 +154,23 @@ def mix_white_noise(amplitudes, noise: float) -> DensityMatrix:
     return DensityMatrix(n_qubits=n, matrix=m)
 
 
+# The Kay family's fixed part: diag(4, 0, ..., 0, 4) plus the anti-diagonal
+# (2, 2, -2, 2, 2, -2, 2, 2). Complex, because numpy divides a complex array
+# by a float otherwise than a real one, and the goldens hold those bits.
+_KAY_BASE = (np.diag([4.0, 0, 0, 0, 0, 0, 0, 4])
+             + np.fliplr(np.diag([2.0, 2, -2, 2, 2, -2, 2, 2]))).astype(complex)
+
+
 def kay_state(gamma: float) -> DensityMatrix:
-    """The one-parameter 8x8 PPT family, valid for 2 <= gamma <= analytic.GAMMA_MAX.
+    """The one-parameter 8x8 PPT family, (base + gamma I) / (8 + 8 gamma),
+    valid for 2 <= gamma <= analytic.GAMMA_MAX.
 
     Its smallest eigenvalue is (gamma - 2) / (8 + 8 gamma), so check_gamma's
     range is exactly where the matrix is a state that floats can hold.
     """
     g = float(gamma)
     check_gamma(g)
-    m = np.zeros((8, 8), dtype=complex)
-    diag = [4 + g] + [g] * 6 + [4 + g]
-    anti = [2, 2, -2, 2, 2, -2, 2, 2]
-    for i in range(8):
-        m[i, i] = diag[i]
-        m[i, 7 - i] = anti[i]
-    m /= 8 + 8 * g
-    return DensityMatrix(n_qubits=3, matrix=m)
+    return DensityMatrix(n_qubits=3, matrix=(_KAY_BASE + g * np.eye(8)) / (8 + 8 * g))
 
 
 def gaussian_reals(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -211,10 +200,6 @@ def random_pure(n_qubits: int, seed: int) -> np.ndarray:
     amps = reals[:dim] + 1j * reals[dim:]
     amps /= np.linalg.norm(amps)
     return amps
-
-
-def _random_state(noise: float, n_qubits: int, seed: int) -> DensityMatrix:
-    return mix_white_noise(random_pure(n_qubits, seed), noise)
 
 
 def validate(rho: DensityMatrix) -> list[Violation]:
@@ -250,9 +235,10 @@ def valid_root(rho: DensityMatrix) -> np.ndarray:
 # The one family registry, in the order the command line lists the families:
 # name -> (parameter rule, state, closed form in the parameter or None,
 # seeded). A pure family's state is its amplitude table, (qubit count,
-# [(basis index, amplitude), ...]), mixed with white noise; any other
-# family's state is a builder of the parameter. A seeded family's builder
-# also takes n_qubits and seed, and no other family takes either.
+# [(basis index, amplitude), ...]), and a seeded family's is the draw of its
+# amplitude vector from n_qubits and seed, which no other family takes; both
+# are mixed with white noise. Any other family's state is a builder of the
+# parameter.
 _SQ2, _SQ3, _SQ6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 FAMILIES: dict[str, tuple] = {
     "ghz3": (check_noise, (3, [(0, 1 / _SQ2), (7, 1 / _SQ2)]), lqu_ghz3, False),
@@ -269,7 +255,7 @@ FAMILIES: dict[str, tuple] = {
     "chi4": (check_noise, (4, [(15, _SQ2 / _SQ6)] + [(i, 1 / _SQ6) for i in (1, 2, 4, 8)]),
              lqu_ghz4_class, False),
     "kay": (check_gamma, kay_state, lqu_kay, False),
-    "random": (check_noise, _random_state, None, True),
+    "random": (check_noise, random_pure, None, True),
 }
 
 FAMILY_NAMES = tuple(FAMILIES)
@@ -302,22 +288,48 @@ def closed_form_for(family: str) -> Callable[[float], float] | None:
     return family_row(family)[2]
 
 
-def build_state(
-    family: str, param: float, n_qubits: int | None = None, seed: int | None = None
-) -> DensityMatrix:
-    """The density matrix of a named family at one parameter value.
+# build_states decomposes its states a chunk at a time, the stack of a
+# chunk's d x d matrices holding at most this many entries: 32 states at
+# N = 3, 8 at N = 4, 2 at N = 5, and from N = 6 one, which is left to
+# decompose itself.
+SWEEP_ENTRIES = 2**11
 
-    param is the white-noise fraction for the noise-mixed families and the
+
+def build_states(
+    family: str, params, n_qubits: int | None = None, seed: int | None = None
+) -> Iterator[DensityMatrix]:
+    """The density matrix of a named family at each parameter value, in order.
+
+    A param is the white-noise fraction for the noise-mixed families and the
     gamma parameter for the Kay family. A seeded family's row ('random')
     needs n_qubits and seed, and every other family rejects them; a call
-    that breaks its row's rule raises a ValueError naming the family.
+    that breaks its row's rule raises a ValueError naming the family. The
+    family's fixed part, its amplitude vector or its one seeded draw, is
+    built once. Each chunk of SWEEP_ENTRIES' worth of states gets its
+    spectra from one stacked eigh, which gives each state the bits it would
+    compute alone, and is yielded before the next chunk is built, so memory
+    does not grow with the number of params.
     """
     _, state, _, seeded = family_row(family)
     if (n_qubits is not None, seed is not None) != (seeded, seeded):
         raise ValueError(f"{family} family {'needs' if seeded else 'rejects'} n_qubits and seed")
-    if not callable(state):
-        return mix_white_noise(pure_state(family), param)
-    return state(param, n_qubits, seed) if seeded else state(param)
+    if seeded or not callable(state):
+        state = partial(mix_white_noise, state(n_qubits, seed) if seeded else pure_state(family))
+    states = map(state, params)
+    for first in states:  # each chunk's first state, which sizes the chunk
+        chunk = [first, *islice(states, max(1, SWEEP_ENTRIES // first.dim**2) - 1)]
+        if len(chunk) > 1:  # a stack of one would only copy the matrix
+            for rho, spec in zip(chunk, spectra(np.stack([rho.matrix for rho in chunk]))):
+                rho.__dict__["spectrum"] = spec  # where cached_property keeps it
+        yield from chunk
+
+
+def build_state(
+    family: str, param: float, n_qubits: int | None = None, seed: int | None = None
+) -> DensityMatrix:
+    """The density matrix of a named family at one parameter value, by
+    build_states' rules."""
+    return next(build_states(family, [param], n_qubits, seed))
 
 
 # --- density-matrix JSON format -------------------------------------------

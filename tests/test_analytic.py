@@ -75,6 +75,14 @@ def test_kay_stays_positive_for_huge_gamma():
         assert lqu_kay(float(gamma)) > 0.0
 
 
+@pytest.mark.parametrize("gamma", [2.0, 10.0, 9.480751908109177e+153, GAMMA_MAX])
+def test_kay_takes_a_numpy_gamma_as_its_float(gamma):
+    # numpy scalar arithmetic warns where float arithmetic quietly overflows
+    # to the answer (9.48e153: the denominator's product is inf, the value 0)
+    got = lqu_kay(np.float64(gamma))
+    assert type(got) is float and got == lqu_kay(gamma)
+
+
 @pytest.mark.parametrize("gamma", [2.0, 3.0, 10.0, 1e4, 1e9, 1e100])
 def test_kay_matches_high_precision_reference(gamma):
     # The paper's unrationalised expression, with enough digits to survive

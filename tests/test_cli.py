@@ -208,7 +208,7 @@ print(peak(200), peak(2000))
 
 
 def test_sweep_memory_does_not_grow_with_the_steps(tmp_path):
-    # Rows are written one chunk at a time (core.SWEEP_ENTRIES: 32 points at
+    # Rows are written one chunk at a time (states.SWEEP_ENTRIES: 32 points at
     # N = 3), each chunk before the next is built, so the traced peak of a
     # 2000-point sweep stays within 64 KiB of a 200-point one; the grid
     # itself, 8 B a point, is the only part that grows. Holding every row
@@ -316,6 +316,34 @@ def test_sweep_random_family(tmp_path, capsys):
     rows = read_rows(out_path)
     assert all(row[5] == "" for row in rows[1:])  # no closed form
     assert rows[-1][4] == "0"  # full noise
+
+
+def test_sweep_random_draws_its_state_once(tmp_path, capsys, monkeypatch):
+    draws, real = [], lqu.states.gaussian_reals
+
+    def counted(rng, n):
+        draws.append(n)
+        return real(rng, n)
+
+    monkeypatch.setattr(lqu.states, "gaussian_reals", counted)
+    out_path = tmp_path / "rnd.csv"
+    code, _, _ = run(capsys, "sweep", "--family", "random", "--qubits", "4", "--seed", "7",
+                     "--from", "0", "--to", "1", "--steps", "21", "--out", str(out_path))
+    assert code == 0
+    assert draws == [32]  # one random_pure(4, 7) for the sweep, not one per point
+    golden = Path(__file__).parent / "golden" / "sweep_random_q4_s7.csv"
+    assert out_path.read_bytes() == golden.read_bytes()
+
+
+def test_parser_is_built_once():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    # parse_args leaves the parser as it was, so each command parses alone
+    sweep = parser.parse_args(["sweep", "--family", "w3", "--from", "0", "--to", "1",
+                               "--steps", "2", "--out", "x.csv"])
+    compute = parser.parse_args(["compute", "x.json"])
+    assert (sweep.func, compute.func) == (cli.cmd_sweep, cli.cmd_compute)
+    assert not hasattr(compute, "family")
 
 
 def test_random_command_reports_distinct_bipartitions(capsys):

@@ -47,7 +47,7 @@ GOLDENS = [
     ("sweep --family ghz3 --from 0 --to 1 --steps 11 --out {out}", None, "sweep_ghz3.csv"),
     ("sweep --family w4 --from 0 --to 1 --steps 11 --out {out}", None, "sweep_w4.csv"),
     ("sweep --family kay --from 2 --to 10 --steps 9 --out {out}", None, "sweep_kay.csv"),
-    # core.SWEEP_ENTRIES puts 8 points of N = 4 in a chunk: 8, 8 and a short
+    # states.SWEEP_ENTRIES puts 8 points of N = 4 in a chunk: 8, 8 and a short
     # 5, the first chunk mixing p = 0 (rank 1, support route) with full rank
     ("sweep --family random --qubits 4 --seed 7 --from 0 --to 1 --steps 21 --out {out}",
      None, "sweep_random_q4_s7.csv"),

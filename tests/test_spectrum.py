@@ -8,8 +8,8 @@ import pytest
 
 import lqu
 from lqu import cli
-from lqu.core import SWEEP_ENTRIES
 from lqu.linalg import HERMITICITY_TOL, spectra, spectrum
+from lqu.states import SWEEP_ENTRIES
 
 from helpers import (agreed_violations, complex_gaussian, haar_unitary, random_density,
                      random_hermitian, rng_for, root_matrix, spectrum_alone)
@@ -178,10 +178,16 @@ def test_sweep_point_matches_the_state_decomposed_alone(tmp_path, monkeypatch, c
     monkeypatch.setattr(cli, "lqu_all", recorded)
     argv = command.format(out=tmp_path / "out.csv").split()
     assert cli.main(argv) == 0
-    assert len(points) == int(argv[argv.index("--steps") + 1])
-    for rho, report in points:
+    args = cli.build_parser().parse_args(argv)
+    params = np.linspace(args.param_from, args.param_to, args.steps).tolist()
+    assert len(points) == len(params)
+    for p, (rho, report) in zip(params, points):
         assert_same_spectrum(rho.spectrum, rho.matrix)
-        assert hexes(report) == hexes(real(lqu.DensityMatrix(rho.n_qubits, rho.matrix)))
+        # the same matrix decomposed alone, and the point built alone
+        alone = lqu.build_state(args.family, p, args.qubits, args.seed)
+        assert alone.matrix.tobytes() == rho.matrix.tobytes()
+        for state in (lqu.DensityMatrix(rho.n_qubits, rho.matrix), alone):
+            assert hexes(report) == hexes(real(state))
 
 
 def state_of_rank(rank, dim, seed):

@@ -175,6 +175,30 @@ def test_kay_entries_at_gamma_two():
     assert validate(kay_state(2.0)) == []
 
 
+def kay_by_entries(gamma):
+    """The Kay matrix typed entry by entry, each divided by 8 + 8 gamma."""
+    m = np.zeros((8, 8), dtype=complex)
+    diag = [4 + gamma] + [gamma] * 6 + [4 + gamma]
+    anti = [2, 2, -2, 2, 2, -2, 2, 2]
+    for i in range(8):
+        m[i, i] = diag[i]
+        m[i, 7 - i] = anti[i]
+    m /= 8 + 8 * gamma
+    return m
+
+
+def test_kay_base_gives_the_entries_bytes():
+    # The golden grids, the ends of the range and seeded gammas across it.
+    rng = np.random.default_rng(26)
+    gammas = [*np.linspace(2, 10, 81).tolist(), *np.linspace(2, 10, 9).tolist(),
+              2.0, math.nextafter(2.0, 3.0), 1e154, 9.480751908109177e+153, 1e300,
+              math.nextafter(GAMMA_MAX, 0.0), GAMMA_MAX,
+              *rng.uniform(2, 10, 200).tolist(),
+              *(2 * np.exp(rng.uniform(0, math.log(GAMMA_MAX / 2), 200))).tolist()]
+    for gamma in gammas:
+        assert kay_state(gamma).matrix.tobytes() == kay_by_entries(gamma).tobytes(), gamma
+
+
 def test_kay_rejects_gamma_below_two():
     with pytest.raises(GammaOutOfRange):
         kay_state(1.9)
