@@ -25,10 +25,10 @@ SWEEPS = [
 ]
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="curves", help="directory for the CSVs")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -18,18 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import IMAG_TOL, RANGE_TOL
-from .states import DensityMatrix, valid_root
+from .states import DensityMatrix, is_integer, valid_root
 
 _Y_PHASES = np.array([-1j, 1j])  # sigma_y's nonzero entries, by the row's bit
 _Z_SIGNS = np.array([1.0, -1.0])
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # computed entries, in check order
-
-# Qubits go in chunks, each stacked array of a chunk holding at most this many
-# entries. One d x d matrix has that many at N = 8, so from there a chunk is
-# one qubit and the dense route holds the four d x d arrays that one qubit
-# needs, and no more; up to N = 6 one chunk takes every qubit, so each step
-# is one numpy call per state.
-_CHUNK_ENTRIES = 2**16
+_SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_SIGMA_I, _SIGMA_J = _SIGMA[np.array(_PAIRS).T]  # sigma_i and sigma_j of each computed entry
 
 
 class IndexOutOfRange(IndexError):
@@ -54,31 +49,32 @@ class LquReport:
 
 
 def _check_qubit(n_qubits: int, qubit_index: int) -> None:
+    if not is_integer(qubit_index):
+        raise IndexOutOfRange(f"qubit_index must be an integer, got {qubit_index!r}")
     if not 0 <= qubit_index < n_qubits:
         raise IndexOutOfRange(f"qubit_index {qubit_index} outside [0, {n_qubits})")
 
 
-def _conj_pauli_stack(m: np.ndarray, qubits: range, out: np.ndarray) -> Iterator[np.ndarray]:
-    """conj(s_p m) for p = x, y, z on each of the qubits, each written over
-    the last in out, shaped (len(qubits),) + m.shape.
+def _conj_pauli(m: np.ndarray, qubit: int, out: np.ndarray) -> Iterator[np.ndarray]:
+    """conj(s_p m) for p = x, y, z on the qubit, each written over the last
+    in out, shaped like m.
 
-    s_p m is one gather of m's rows for the whole stack (qubit 0 is the most
-    significant bit of a row index): s_x takes row i from row i with the
-    qubit's bit flipped, s_y does the same and multiplies row i by -i or i as
-    that bit of i is 0 or 1, s_z multiplies row i by 1 or -1. No 2^N x 2^N
-    operator is built.
+    s_p m is one gather of m's rows (qubit 0 is the most significant bit of
+    a row index): s_x takes row i from row i with the qubit's bit flipped,
+    s_y does the same and multiplies row i by -i or i as that bit of i is 0
+    or 1, s_z multiplies row i by 1 or -1. No 2^N x 2^N operator is built.
     """
     m = np.asarray(m, dtype=complex)  # a real m is promoted
     rows = np.arange(m.shape[0])
-    shifts = np.subtract(m.shape[0].bit_length() - 2, qubits)[:, None]  # N - 1 - k
-    bits = (rows >> shifts) & 1
-    flipped = rows ^ (1 << shifts)
+    shift = m.shape[0].bit_length() - 2 - qubit  # N - 1 - k
+    bits = (rows >> shift) & 1
+    flipped = rows ^ (1 << shift)
     m.take(flipped, axis=0, out=out, mode="clip")
     yield np.conjugate(out, out=out)
     m.take(flipped, axis=0, out=out, mode="clip")  # the consumer may have reused out
-    np.multiply(out, _Y_PHASES[bits][..., None], out=out)
+    np.multiply(out, _Y_PHASES[bits][:, None], out=out)
     yield np.conjugate(out, out=out)
-    np.multiply(m, _Z_SIGNS[bits][..., None], out=out)
+    np.multiply(m, _Z_SIGNS[bits][:, None], out=out)
     yield np.conjugate(out, out=out)
 
 
@@ -93,40 +89,33 @@ def _correlations_given_root(root: np.ndarray, qubits: range) -> tuple[np.ndarra
     Hermitian with Tr S^2 = Tr rho, so the checks fail only on an arithmetic
     fault.
     """
-    # Tr[S s_i S s_j] = sum_ab (S s_i)_ab (S s_j)_ba = sum (T_i * B_j) with
-    # B_j = conj(s_j S) and T_i = B_i^T: linalg.spectrum stores S exactly
-    # Hermitian, so S s_i = (s_i S)^H bit for bit. Both operands are
-    # C-contiguous; the (z, z) entry reads B_z through its transpose instead,
-    # so only T_x and T_y are held. With S = F F^dagger the trace equals
-    # Tr[(F^H s_i F)(F^H s_j F)], summed over r x r products
-    # T_i = F^H s_i F = conj(s_i F)^T F.
+    # One qubit k at a time. With k's bit an explicit index, S splits into
+    # d/2 x d/2 blocks S_pq over the other qubits, and Tr[S s_i S s_j] =
+    # sum s_i[q,r] s_j[s,p] G[p,q,r,s] over the block Gram G[p,q,r,s] =
+    # Tr[S_pq S_rs]: one (4, d^2/4) by (d^2/4, 4) product of two copies of S.
+    # The sums are stored conjugated: the real parts are unchanged, and for a
+    # non-Hermitian S the imaginary residue checked reads as that of
+    # conj Tr[S s_i S s_j], the sign tests/test_core.py pins in its message.
+    # With S = F F^dagger the trace equals Tr[(F^H s_i F)(F^H s_j F)], summed
+    # over r x r products T_i = F^H s_i F = conj(s_i F)^T F.
     d, r = root.shape
-    support = r < d
-    size = min(len(qubits), max(1, _CHUNK_ENTRIES // (d * r)))
-    gathered = np.empty((size, d, r), complex)
-    prods = np.empty((3 if support else 2, size, r, r), complex)  # r = d on the dense route
-    if support:  # the gather buffer is free once each product is formed
-        scratch = gathered.reshape(-1)[: size * r * r].reshape(size, r, r)
-    else:
-        scratch = np.empty((size, d, d), complex)
     traces = np.empty((len(qubits), len(_PAIRS)), complex)
-    for start in range(0, len(qubits), size):
-        chunk = qubits[start:start + size]
-        n = len(chunk)
-        for p, b in enumerate(_conj_pauli_stack(root, chunk, gathered[:n])):
-            if support:
-                np.matmul(b.swapaxes(1, 2), root, out=prods[p, :n])
-                second = prods[p, :n].swapaxes(1, 2)
-            else:
-                if p < 2:
-                    np.copyto(prods[p, :n], b.swapaxes(1, 2))
-                second = b
-            for i in range(p + 1):
-                first = prods[i, :n] if support or i < 2 else b.swapaxes(1, 2)
-                np.add.reduce(
-                    np.multiply(first, second, out=scratch[:n]),
-                    axis=(1, 2), out=traces[start:start + n, _PAIRS.index((i, p))],
-                )
+    if r == d:
+        for row, k in zip(traces, qubits):
+            t = root.reshape(2**k, 2, -1, 2**k, 2, d >> (k + 1))
+            gram = (t.transpose(1, 4, 0, 2, 3, 5).reshape(4, -1)
+                    @ t.transpose(3, 5, 0, 2, 1, 4).reshape(-1, 4))
+            np.einsum("eqr,esp,pqrs->e", _SIGMA_I, _SIGMA_J, gram.reshape(2, 2, 2, 2), out=row)
+        np.conjugate(traces, out=traces)
+    else:
+        gathered = np.empty((d, r), complex)
+        scratch = gathered.reshape(-1)[: r * r].reshape(r, r)  # free once each product is formed
+        prods = np.empty((3, r, r), complex)
+        for row, k in zip(traces, qubits):
+            for p, b in enumerate(_conj_pauli(root, k, gathered)):
+                np.matmul(b.T, root, out=prods[p])
+                for i in range(p + 1):
+                    row[_PAIRS.index((i, p))] = np.multiply(prods[i], prods[p].T, out=scratch).sum()
     m = traces.real[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
     w = np.linalg.eigvalsh(m)
     bad_imag = np.abs(traces.imag) > IMAG_TOL
@@ -183,9 +172,8 @@ def lqu_bipartition(rho: DensityMatrix, qubit_index: int) -> float:
 def lqu_all(rho: DensityMatrix) -> LquReport:
     """Per-bipartition values for every qubit plus their arithmetic mean.
 
-    The state's shared root serves every qubit, in chunks of qubits that
-    share each numpy call; the mean sums in ascending qubit order so results
-    are order-independent.
+    The state's shared root serves every qubit, one qubit at a time; the
+    mean sums in ascending qubit order so results are order-independent.
     """
     values = _lqus_given_root(valid_root(rho), range(rho.n_qubits))
     return LquReport(per_bipartition=values, mean=sum(values) / rho.n_qubits)

@@ -28,16 +28,21 @@ from .linalg import HERMITICITY_TOL, PSD_TOL, TRACE_TOL, Spectrum, spectra, spec
 # Largest qubit count the package accepts, checked by qubit_dimension before
 # anything of size 2^N is allocated. One complex d x d matrix takes
 # 16 * 4^N bytes (256 MiB at N = 12). The dense path keeps a state's matrix
-# and root, and lqu_all works in at most four more (tests/test_core.py):
-# about six, 1.5 GiB at N = 12.
+# and root, and lqu_all works in at most two more (tests/test_core.py):
+# about four, 1 GiB at N = 12.
 MAX_QUBITS = 12
+
+
+def is_integer(value) -> bool:
+    """The package's rule for a count or an index: an int or a numpy
+    integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def qubit_dimension(n_qubits, error: type[ValueError] = ValueError) -> int:
     """2^n_qubits, after the one qubit-count rule: a positive integer no
     larger than MAX_QUBITS. A count it rejects raises error naming it."""
-    integer = isinstance(n_qubits, (int, np.integer)) and not isinstance(n_qubits, bool)
-    if not integer or n_qubits < 1:
+    if not is_integer(n_qubits) or n_qubits < 1:
         raise error(f"n_qubits must be a positive integer, got {n_qubits!r}")
     if n_qubits > MAX_QUBITS:
         raise error(f"n_qubits {n_qubits} exceeds the limit of {MAX_QUBITS}")
@@ -135,6 +140,8 @@ def mix_white_noise(amplitudes, noise: float) -> DensityMatrix:
     """
     check_noise(noise)
     psi = np.asarray(amplitudes, dtype=complex)
+    if psi.ndim != 1:
+        raise ValueError(f"amplitude vector must be 1-D, got an array of shape {psi.shape}")
     dim = psi.size
     n = dim.bit_length() - 1
     if not (1 <= n <= MAX_QUBITS and dim == 2**n):

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from lqu.core import (
     IndexOutOfRange,
     NumericalContractViolation,
-    _CHUNK_ENTRIES,
     _clamp_unit,
-    _conj_pauli_stack,
+    _conj_pauli,
     _correlations_given_root,
     _lqus_given_root,
     correlation_matrix,
@@ -47,18 +46,18 @@ def random_noisy_state(seed, n_qubits=3):
     return mix_white_noise(random_pure(n_qubits, seed), noise)
 
 
-def conj_pauli(m, qubits, pauli):
-    """The index kernel's conj(s_p m) for Pauli 1, 2, 3 (x, y, z), stacked
-    over the qubits."""
-    out = np.empty((len(qubits),) + m.shape, dtype=complex)
-    return next(islice(_conj_pauli_stack(m, qubits, out), pauli - 1, None))
+def conj_pauli(m, qubit, pauli):
+    """The index kernel's conj(s_p m) for Pauli 1, 2, 3 (x, y, z) on one
+    qubit."""
+    out = np.empty(m.shape, dtype=complex)
+    return next(islice(_conj_pauli(m, qubit, out), pauli - 1, None))
 
 
 def local_observable(n_qubits, qubit, pauli):
     """The 2^N x 2^N operator that the index kernel applies for Pauli
     1, 2, 3 (x, y, z) on one qubit, read off by running it on the identity:
     the kernel yields conj(s_p I)."""
-    return np.conjugate(conj_pauli(np.eye(2**n_qubits), range(qubit, qubit + 1), pauli)[0])
+    return np.conjugate(conj_pauli(np.eye(2**n_qubits), qubit, pauli))
 
 
 # --- Pauli index kernel -----------------------------------------------------
@@ -95,13 +94,11 @@ def test_local_observable_matches_the_kronecker_product(n_qubits, qubit, pauli):
     expected = pauli_on(n_qubits, qubit, "xyz"[pauli - 1])
     np.testing.assert_array_equal(local_observable(n_qubits, qubit, pauli), expected)
     # The kernel indexes rows only, so a d x r factor and a real root take
-    # the same action, and a stack of every qubit holds this qubit's action
-    # at its place.
+    # the same action.
     d = 2**n_qubits
     for m in (complex_gaussian(rng_for(d + qubit), (d, 3)), rng_for(qubit).standard_normal((d, d))):
-        got = conj_pauli(m, range(qubit, qubit + 1), pauli)[0]
+        got = conj_pauli(m, qubit, pauli)
         np.testing.assert_allclose(got, np.conjugate(expected @ m), rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(conj_pauli(m, range(n_qubits), pauli)[qubit], got)
 
 
 # --- skew-information oracle (tests/helpers.py) -----------------------------
@@ -229,7 +226,9 @@ def test_support_route_meets_the_block_gram_oracle(n_qubits, rank):
 @pytest.mark.parametrize("rank", [1, 2, 8])
 def test_support_route_peak_memory_stays_below_a_quarter_of_a_state(rank):
     # N = 9: one complex d x d matrix is 4 MiB, the d x r factor 8 to 64 KiB.
-    # The spectrum is formed before tracing.
+    # One qubit at a time holds one d x r gather buffer, its row indices and
+    # three r x r products: 0.009 to 0.038 of a d x d matrix here. The
+    # spectrum is formed before tracing.
     d = 2**9
     g = complex_gaussian(rng_for(rank), (d, rank))
     rho = dm(g @ g.conj().T / np.linalg.norm(g) ** 2, 9)
@@ -240,7 +239,7 @@ def test_support_route_peak_memory_stays_below_a_quarter_of_a_state(rank):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.25 * 16 * d * d
+    assert peak < 0.05 * 16 * d * d
 
 
 def test_support_route_at_half_rank_holds_one_pauli_product_at_a_time():
@@ -262,11 +261,10 @@ def test_support_route_at_half_rank_holds_one_pauli_product_at_a_time():
     assert peak < 1.3 * 16 * d * d
 
 
-def test_dense_route_peak_memory_stays_at_four_matrices():
-    # N = 10, full rank: one qubit per chunk, whose gather buffer, T_x, T_y
-    # and one product buffer are four d x d matrices; the (z, z) entry reads
-    # B_z through its transpose instead of holding a T_z. The spectrum is
-    # formed before tracing.
+def test_dense_route_peak_memory_stays_at_two_matrices():
+    # N = 10, full rank: each qubit's block Gram is one product of two
+    # transposed copies of S, two d x d matrices; the Gram itself is 4 x 4.
+    # The spectrum is formed before tracing.
     d = 2**10
     g = complex_gaussian(rng_for(d + 1), (d, d))
     rho = dm(g @ g.conj().T / np.linalg.norm(g) ** 2, 10)
@@ -278,21 +276,19 @@ def test_dense_route_peak_memory_stays_at_four_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.1 * 16 * d * d
+    assert peak <= 2.1 * 16 * d * d
 
 
 @pytest.mark.parametrize("rank", ["1", "d/2", "d"])
 @pytest.mark.parametrize("n_qubits", range(1, 10))
 def test_per_qubit_entry_points_match_the_stacked_kernel(n_qubits, rank):
-    # One qubit alone gives the bits it gets inside the chunks of the whole
+    # One qubit alone gives the bits it gets in a call for the whole
     # register, on both routes.
     d = 2**n_qubits
     r = {"1": 1, "d/2": d // 2, "d": d}[rank]
     g = complex_gaussian(rng_for(d + r), (d, r))
     rho = dm(g @ g.conj().T / np.linalg.norm(g) ** 2, n_qubits)
     assert rho.spectrum.root.shape == (d, r)
-    if (n_qubits, rank) in {(7, "d"), (8, "d/2")}:  # a chunk boundary splits the register
-        assert 1 < _CHUNK_ENTRIES // (d * r) < n_qubits
     matrices = _correlations_given_root(rho.spectrum.root, range(n_qubits))[0]
     report = lqu_all(rho)
     for k in range(n_qubits):
@@ -324,6 +320,21 @@ def test_qubit_index_outside_the_register_raises():
         for q in (-1, 3):
             with pytest.raises(IndexOutOfRange, match=rf"^qubit_index {q} outside \[0, 3\)$"):
                 consumer(rho, q)
+
+
+@pytest.mark.parametrize("q", [True, False, 1.0, np.float64(0.0), "1", None])
+def test_qubit_index_that_is_not_an_integer_raises(q):
+    # True used to read as qubit 1, and 1.0 raised a bare TypeError
+    rho = mix_white_noise(pure_state("ghz3"), 0.5)
+    for consumer in (correlation_matrix, lqu_bipartition):
+        with pytest.raises(IndexOutOfRange, match=rf"^qubit_index must be an integer, got {re.escape(repr(q))}$"):
+            consumer(rho, q)
+
+
+def test_numpy_integer_qubit_index_is_accepted():
+    rho = mix_white_noise(random_pure(3, 0), 0.2)
+    assert lqu_bipartition(rho, np.int64(2)) == lqu_bipartition(rho, 2)
+    np.testing.assert_array_equal(correlation_matrix(rho, np.uint8(1)), correlation_matrix(rho, 1))
 
 
 def test_lqu_pure_ghz3_is_one_and_full_noise_is_zero():

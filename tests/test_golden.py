@@ -9,6 +9,7 @@ the files only for an intended change of output.
 """
 
 import contextlib
+import importlib.util
 import io
 import os
 import pathlib
@@ -30,13 +31,12 @@ GOLDENS = [
     ("random --qubits 5 --seed 7 --pure-fraction 0.6 --dump {out}",
      "random_q5_s7.txt", "random_q5_s7.json"),
     ("compute {golden}/random_q5_s7.json", "compute_q5_s7.txt", None),
-    # Full rank, so the dense route: pins its index kernel, S sigma_p formed
-    # as (sigma_p S)^dagger, above N = 6, where the block-Gram oracle in
-    # test_core reaches N = 8 but no other golden goes.
+    # Full rank, so the dense route, at N = 7: the block-Gram oracle in
+    # test_core reaches N = 8, but no golden above goes past N = 5.
     ("random --qubits 7 --seed 7 --pure-fraction 0.6", "random_q7_s7.txt", None),
-    # Full rank at N = 9, where core's dense route takes one qubit per chunk,
-    # as on the N = 8 and 9 states of the benchmark's file workloads; the
-    # goldens above stop at N = 7, where a chunk holds four qubits.
+    # Full rank at N = 9, the size of the benchmark's file workloads, where
+    # each qubit's block Gram sums over d^2/4 = 65536 products; the goldens
+    # above stop at N = 7.
     ("random --qubits 9 --seed 7 --pure-fraction 0.6", "random_q9_s7.txt", None),
     # Low-rank states, which take the support route in core. rank2_q5.json is
     # 0.7 |random_pure(5, 1)><.| + 0.3 |random_pure(5, 2)><.|, written by
@@ -51,7 +51,8 @@ GOLDENS = [
     # 5, the first chunk mixing p = 0 (rank 1, support route) with full rank
     ("sweep --family random --qubits 4 --seed 7 --from 0 --to 1 --steps 21 --out {out}",
      None, "sweep_random_q4_s7.csv"),
-    # the paper's curves, on scripts/make_curve_data.py's own grid
+    # the paper's curves, on scripts/make_curve_data.py's own grid; the
+    # script itself is run below
     *((f"sweep --family {family} --from {lo} --to {hi} --steps {steps} --out {{out}}",
        None, f"curve_{family}.csv")
       for family, lo, hi, steps in assigned_list(TESTS.parent / "scripts" / "make_curve_data.py",
@@ -99,6 +100,20 @@ def test_module_entry_point_matches_golden(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(TESTS.parent / "src")}
     run = entry_point(sys.executable, "-m", "lqu", env=env)
     assert mismatches(GOLDENS[0], run, tmp_path / "out") == []
+
+
+def test_curve_script_writes_the_golden_curves(tmp_path):
+    # scripts/make_curve_data.py itself, run in-process: one CSV per curve
+    # golden, each byte-identical to it
+    script = TESTS.parent / "scripts" / "make_curve_data.py"
+    spec = importlib.util.spec_from_file_location("make_curve_data", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main(["--outdir", str(tmp_path)])
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name[len("curve_"):] for path in GOLDEN.glob("curve_*.csv"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / f"curve_{name}").read_bytes(), name
 
 
 def test_every_golden_is_in_the_table():

@@ -101,6 +101,17 @@ def test_mix_rejects_amplitude_length_not_power_of_two(length):
         mix_white_noise(amplitudes, 0.5)
 
 
+@pytest.mark.parametrize("amplitudes", [
+    np.eye(2) / np.sqrt(2),  # used to be read as the Bell state of its four entries
+    np.array([[1.0, 0.0]]),
+    np.array(1.0),
+])
+def test_mix_rejects_an_amplitude_array_that_is_not_1d(amplitudes):
+    with pytest.raises(ValueError) as info:
+        mix_white_noise(amplitudes, 0.0)
+    assert str(info.value) == f"amplitude vector must be 1-D, got an array of shape {amplitudes.shape}"
+
+
 def test_mix_rejects_a_non_finite_amplitude_before_the_outer_product():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
