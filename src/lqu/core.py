@@ -12,7 +12,6 @@ that validate rejects raises InvalidDensityMatrix.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,6 @@ import numpy as np
 from .linalg import IMAG_TOL, RANGE_TOL
 from .states import DensityMatrix, is_integer, valid_root
 
-_Y_PHASES = np.array([-1j, 1j])  # sigma_y's nonzero entries, by the row's bit
-_Z_SIGNS = np.array([1.0, -1.0])
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # computed entries, in check order
 _SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _SIGMA_I, _SIGMA_J = _SIGMA[np.array(_PAIRS).T]  # sigma_i and sigma_j of each computed entry
@@ -55,27 +52,13 @@ def _check_qubit(n_qubits: int, qubit_index: int) -> None:
         raise IndexOutOfRange(f"qubit_index {qubit_index} outside [0, {n_qubits})")
 
 
-def _conj_pauli(m: np.ndarray, qubit: int, out: np.ndarray) -> Iterator[np.ndarray]:
-    """conj(s_p m) for p = x, y, z on the qubit, each written over the last
-    in out, shaped like m.
-
-    s_p m is one gather of m's rows (qubit 0 is the most significant bit of
-    a row index): s_x takes row i from row i with the qubit's bit flipped,
-    s_y does the same and multiplies row i by -i or i as that bit of i is 0
-    or 1, s_z multiplies row i by 1 or -1. No 2^N x 2^N operator is built.
-    """
-    m = np.asarray(m, dtype=complex)  # a real m is promoted
-    rows = np.arange(m.shape[0])
-    shift = m.shape[0].bit_length() - 2 - qubit  # N - 1 - k
-    bits = (rows >> shift) & 1
-    flipped = rows ^ (1 << shift)
-    m.take(flipped, axis=0, out=out, mode="clip")
-    yield np.conjugate(out, out=out)
-    m.take(flipped, axis=0, out=out, mode="clip")  # the consumer may have reused out
-    np.multiply(out, _Y_PHASES[bits][:, None], out=out)
-    yield np.conjugate(out, out=out)
-    np.multiply(m, _Z_SIGNS[bits][:, None], out=out)
-    yield np.conjugate(out, out=out)
+def _block_gram(t: np.ndarray) -> np.ndarray:
+    """G[p,q,r,s] = Tr[M_pq M_rs] over the 2 x 2 blocks M_pq of a matrix M
+    viewed as t = M.reshape(a, 2, b, a, 2, b), the bit p of each row and q of
+    each column made an explicit index: one (4, (ab)^2) by ((ab)^2, 4)
+    product of two transposed copies of M."""
+    return (t.transpose(1, 4, 0, 2, 3, 5).reshape(4, -1)
+            @ t.transpose(3, 5, 0, 2, 1, 4).reshape(-1, 4)).reshape(2, 2, 2, 2)
 
 
 def _correlations_given_root(root: np.ndarray, qubits: range) -> tuple[np.ndarray, np.ndarray]:
@@ -92,30 +75,23 @@ def _correlations_given_root(root: np.ndarray, qubits: range) -> tuple[np.ndarra
     # One qubit k at a time. With k's bit an explicit index, S splits into
     # d/2 x d/2 blocks S_pq over the other qubits, and Tr[S s_i S s_j] =
     # sum s_i[q,r] s_j[s,p] G[p,q,r,s] over the block Gram G[p,q,r,s] =
-    # Tr[S_pq S_rs]: one (4, d^2/4) by (d^2/4, 4) product of two copies of S.
+    # Tr[S_pq S_rs]. With S = F F^dagger, S_pq = F_p F_q^dagger for the rows
+    # F_0, F_1 of F whose bit k is 0, 1, so G[p,q,r,s] = Tr[Y_sp Y_qr] over
+    # the blocks Y_sp = F_s^dagger F_p of Y = X^dagger X, X = [F_0 F_1]: the
+    # block Gram of the 2r x 2r matrix Y, its first axis moved last.
     # The sums are stored conjugated: the real parts are unchanged, and for a
     # non-Hermitian S the imaginary residue checked reads as that of
     # conj Tr[S s_i S s_j], the sign tests/test_core.py pins in its message.
-    # With S = F F^dagger the trace equals Tr[(F^H s_i F)(F^H s_j F)], summed
-    # over r x r products T_i = F^H s_i F = conj(s_i F)^T F.
     d, r = root.shape
     traces = np.empty((len(qubits), len(_PAIRS)), complex)
-    if r == d:
-        for row, k in zip(traces, qubits):
-            t = root.reshape(2**k, 2, -1, 2**k, 2, d >> (k + 1))
-            gram = (t.transpose(1, 4, 0, 2, 3, 5).reshape(4, -1)
-                    @ t.transpose(3, 5, 0, 2, 1, 4).reshape(-1, 4))
-            np.einsum("eqr,esp,pqrs->e", _SIGMA_I, _SIGMA_J, gram.reshape(2, 2, 2, 2), out=row)
-        np.conjugate(traces, out=traces)
-    else:
-        gathered = np.empty((d, r), complex)
-        scratch = gathered.reshape(-1)[: r * r].reshape(r, r)  # free once each product is formed
-        prods = np.empty((3, r, r), complex)
-        for row, k in zip(traces, qubits):
-            for p, b in enumerate(_conj_pauli(root, k, gathered)):
-                np.matmul(b.T, root, out=prods[p])
-                for i in range(p + 1):
-                    row[_PAIRS.index((i, p))] = np.multiply(prods[i], prods[p].T, out=scratch).sum()
+    for row, k in zip(traces, qubits):
+        if r == d:
+            gram = _block_gram(root.reshape(2**k, 2, -1, 2**k, 2, d >> (k + 1)))
+        else:
+            x = root.reshape(2**k, 2, -1, r).transpose(0, 2, 1, 3).reshape(-1, 2 * r)
+            gram = np.moveaxis(_block_gram((x.conj().T @ x).reshape(1, 2, r, 1, 2, r)), 0, -1)
+        np.einsum("eqr,esp,pqrs->e", _SIGMA_I, _SIGMA_J, gram, out=row)
+    np.conjugate(traces, out=traces)
     m = traces.real[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
     w = np.linalg.eigvalsh(m)
     bad_imag = np.abs(traces.imag) > IMAG_TOL

@@ -38,11 +38,11 @@ class Spectrum:
     hermiticity_defect is max |m - m^dagger| of the matrix itself;
     eigenvalues (ascending) and root belong to its Hermitian part. The
     principal square root S zeroes every eigenvalue at or below the rounding
-    floor and keeps the trace, Tr S^2 = Tr m. root holds S itself, or, when
-    the r eigenvalues above the floor have 2r <= d, the d x r factor
-    F = V_r diag(w_r^(1/4)) with S = F F^dagger (the support route). A
-    plain record: states.validate judges the invariants, and
-    states.valid_root hands out root once they hold.
+    floor and keeps the trace, Tr S^2 = Tr m. root holds S itself, or, for
+    the ranks spectra sends to the support route, the d x r factor
+    F = V_r diag(w_r^(1/4)) of the r eigenvalues above the floor, with
+    S = F F^dagger. A plain record: states.validate judges the invariants,
+    and states.valid_root hands out root once they hold.
     """
 
     hermiticity_defect: float
@@ -67,8 +67,9 @@ def spectra(stack) -> list[Spectrum]:
     eigenvalues are rescaled to sum to the trace, so Tr S^2 = Tr m although
     the negative mass states.validate admits is dropped; the rescale is
     skipped unless both sums are positive and finite. The r eigenvalues above
-    the floor pick each matrix's route: for 2r <= d the root is stored as its
-    d x r factor, whose r x r products with an operator cost less than S's.
+    the floor pick each matrix's route: for 4r <= d the root is stored as its
+    d x r factor, whose 2r x 2r Gram per qubit in core costs less time and
+    memory than the block Gram of S up to about that rank, and more above it.
     Every step works on each matrix alone, so a matrix gets the same bits in
     any stack as in a stack of one.
     """
@@ -91,9 +92,9 @@ def spectra(stack) -> list[Spectrum]:
         scales = np.where((0 < traces) & (traces < np.inf) & (0 < masses) & (masses < np.inf),
                           traces / masses, 1.0)
     root_w = np.where(kept, w * scales[:, None], 0.0)
-    roots = [v[i, :, d - r:] * root_w[i, d - r:] ** 0.25 if 2 * r <= d else None
+    roots = [v[i, :, d - r:] * root_w[i, d - r:] ** 0.25 if 4 * r <= d else None
              for i, r in enumerate(ranks)]  # ascending, so the support is the last r columns
-    dense = [i for i, r in enumerate(ranks) if 2 * r > d]
+    dense = [i for i, root in enumerate(roots) if root is None]
     if dense:
         vd = v[dense] if len(dense) < len(v) else v  # all dense, as a stack of one: no copy
         root = (vd * np.sqrt(root_w[dense])[:, None, :]) @ vd.conj().swapaxes(1, 2)

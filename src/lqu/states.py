@@ -14,7 +14,7 @@ import re
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, islice
 from json.scanner import make_scanner
 from typing import Callable, TextIO
@@ -139,6 +139,11 @@ def mix_white_noise(amplitudes, noise: float) -> DensityMatrix:
     within TRACE_TOL of 1, so the state has unit trace.
     """
     check_noise(noise)
+    return _mix(_projector(amplitudes), noise)
+
+
+def _projector(amplitudes) -> np.ndarray:
+    """|psi><psi| for an amplitude vector that meets mix_white_noise's rules."""
     psi = np.asarray(amplitudes, dtype=complex)
     if psi.ndim != 1:
         raise ValueError(f"amplitude vector must be 1-D, got an array of shape {psi.shape}")
@@ -157,8 +162,14 @@ def mix_white_noise(amplitudes, noise: float) -> DensityMatrix:
         raise ValueError(
             f"amplitude vector has squared norm {norm2}, not within {TRACE_TOL} of 1"
         )
-    m = (1.0 - noise) * np.outer(psi, psi.conj()) + (noise / dim) * np.eye(dim)
-    return DensityMatrix(n_qubits=n, matrix=m)
+    return np.outer(psi, psi.conj())
+
+
+def _mix(projector: np.ndarray, noise: float) -> DensityMatrix:
+    """(1 - noise) projector + noise * I / d, for a checked noise."""
+    dim = len(projector)
+    m = (1.0 - noise) * projector + (noise / dim) * np.eye(dim)
+    return DensityMatrix(n_qubits=dim.bit_length() - 1, matrix=m)
 
 
 # The Kay family's fixed part: diag(4, 0, ..., 0, 4) plus the anti-diagonal
@@ -312,16 +323,21 @@ def build_states(
     needs n_qubits and seed, and every other family rejects them; a call
     that breaks its row's rule raises a ValueError naming the family. The
     family's fixed part, its amplitude vector or its one seeded draw, is
-    built once. Each chunk of SWEEP_ENTRIES' worth of states gets its
-    spectra from one stacked eigh, which gives each state the bits it would
-    compute alone, and is yielded before the next chunk is built, so memory
-    does not grow with the number of params.
+    built and checked once, and mixed with white noise at each point. Each
+    chunk of SWEEP_ENTRIES' worth of states gets its spectra from one
+    stacked eigh, which gives each state the bits it would compute alone,
+    and is yielded before the next chunk is built, so memory does not grow
+    with the number of params.
     """
-    _, state, _, seeded = family_row(family)
+    rule, state, _, seeded = family_row(family)
     if (n_qubits is not None, seed is not None) != (seeded, seeded):
         raise ValueError(f"{family} family {'needs' if seeded else 'rejects'} n_qubits and seed")
-    if seeded or not callable(state):
-        state = partial(mix_white_noise, state(n_qubits, seed) if seeded else pure_state(family))
+    if seeded or not callable(state):  # psi is checked and |psi><psi| formed once
+        projector = _projector(state(n_qubits, seed) if seeded else pure_state(family))
+
+        def state(noise):
+            rule(noise)
+            return _mix(projector, noise)
     states = map(state, params)
     for first in states:  # each chunk's first state, which sizes the chunk
         chunk = [first, *islice(states, max(1, SWEEP_ENTRIES // first.dim**2) - 1)]

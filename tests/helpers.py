@@ -102,7 +102,7 @@ def spectrum_alone(m):
         trace, mass = w.sum(), w[d - rank:].sum()
     scale = trace / mass if 0 < trace < np.inf and 0 < mass < np.inf else 1.0
     root_w = np.where(kept, w * scale, 0.0)
-    if 2 * rank <= d:
+    if 4 * rank <= d:
         root = v[:, d - rank:] * root_w[d - rank:] ** 0.25
     else:
         root = (v * np.sqrt(root_w)) @ v.conj().T

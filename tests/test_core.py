@@ -1,6 +1,5 @@
 import re
 import tracemalloc
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from lqu.core import (
     IndexOutOfRange,
     NumericalContractViolation,
     _clamp_unit,
-    _conj_pauli,
     _correlations_given_root,
     _lqus_given_root,
     correlation_matrix,
@@ -44,61 +42,6 @@ def random_noisy_state(seed, n_qubits=3):
     rng = rng_for(seed)
     noise = rng.uniform(0.05, 0.95)
     return mix_white_noise(random_pure(n_qubits, seed), noise)
-
-
-def conj_pauli(m, qubit, pauli):
-    """The index kernel's conj(s_p m) for Pauli 1, 2, 3 (x, y, z) on one
-    qubit."""
-    out = np.empty(m.shape, dtype=complex)
-    return next(islice(_conj_pauli(m, qubit, out), pauli - 1, None))
-
-
-def local_observable(n_qubits, qubit, pauli):
-    """The 2^N x 2^N operator that the index kernel applies for Pauli
-    1, 2, 3 (x, y, z) on one qubit, read off by running it on the identity:
-    the kernel yields conj(s_p I)."""
-    return np.conjugate(conj_pauli(np.eye(2**n_qubits), qubit, pauli))
-
-
-# --- Pauli index kernel -----------------------------------------------------
-
-def test_local_observable_z_on_most_significant_bit():
-    got = local_observable(3, 0, 3)
-    np.testing.assert_array_equal(got, np.diag([1, 1, 1, 1, -1, -1, -1, -1]).astype(complex))
-
-
-def test_local_observable_z_on_least_significant_bit():
-    got = local_observable(3, 2, 3)
-    np.testing.assert_array_equal(got, np.diag([1, -1, 1, -1, 1, -1, 1, -1]).astype(complex))
-
-
-def test_local_observable_x_flips_qubit_a():
-    ket00 = np.array([1, 0, 0, 0], dtype=complex)
-    ket10 = np.array([0, 0, 1, 0], dtype=complex)
-    np.testing.assert_array_equal(local_observable(2, 0, 1) @ ket00, ket10)
-
-
-@pytest.mark.parametrize("qubit", [0, 1, 2])
-@pytest.mark.parametrize("pauli", [1, 2, 3])
-def test_local_observable_is_hermitian_involution(qubit, pauli):
-    k = local_observable(3, qubit, pauli)
-    np.testing.assert_allclose(k, k.conj().T)
-    np.testing.assert_allclose(k @ k, np.eye(8), atol=1e-15)
-
-
-@pytest.mark.parametrize(
-    "n_qubits, qubit", [(n, k) for n in range(1, 8) for k in range(n)]
-)
-@pytest.mark.parametrize("pauli", [1, 2, 3])
-def test_local_observable_matches_the_kronecker_product(n_qubits, qubit, pauli):
-    expected = pauli_on(n_qubits, qubit, "xyz"[pauli - 1])
-    np.testing.assert_array_equal(local_observable(n_qubits, qubit, pauli), expected)
-    # The kernel indexes rows only, so a d x r factor and a real root take
-    # the same action.
-    d = 2**n_qubits
-    for m in (complex_gaussian(rng_for(d + qubit), (d, 3)), rng_for(qubit).standard_normal((d, d))):
-        got = conj_pauli(m, qubit, pauli)
-        np.testing.assert_allclose(got, np.conjugate(expected @ m), rtol=0, atol=1e-15)
 
 
 # --- skew-information oracle (tests/helpers.py) -----------------------------
@@ -168,55 +111,59 @@ def test_pure_state_correlation_is_bloch_outer_product(seed):
         )
 
 
-@pytest.mark.parametrize("rank", ["1", "2", "d/2", "d/2+1", "d"])
-@pytest.mark.parametrize("n_qubits", [2, 3, 4, 5, 6, 7, 8])
-def test_correlation_matches_block_gram_partial_trace(n_qubits, rank):
-    # rho = U diag(p) U^dagger with a known spectrum, so S = sqrt(rho) needs no
-    # eigensolver. With qubit k an explicit index, S splits into blocks S_pq
-    # over the other qubits; G[p,q,r,s] = Tr[S_pq S_rs] and
-    # m_ij = sum sigma_i[q,r] sigma_j[s,p] G[p,q,r,s]. Ranks d/2 and d/2 + 1
-    # sit on either side of the rule that sends a state to the support route.
+def state_with_root(seed, n_qubits, rank):
+    """rho = U diag(p) U^dagger with `rank` nonzero weights p, and its root
+    S = U diag(sqrt p) U^dagger, formed without an eigensolver."""
     d = 2**n_qubits
-    r = {"1": 1, "2": 2, "d/2": d // 2, "d/2+1": d // 2 + 1, "d": d}[rank]
-    seed = 10 * n_qubits + r
     u = haar_unitary(seed, d)
     p = np.zeros(d)
-    p[:r] = rng_for(seed).uniform(0.1, 1.0, r)
+    p[:rank] = rng_for(seed).uniform(0.1, 1.0, rank)
     p /= p.sum()
-    rho = dm((u * p) @ u.conj().T, n_qubits)
-    s = (u * np.sqrt(p)) @ u.conj().T
+    return dm((u * p) @ u.conj().T, n_qubits), (u * np.sqrt(p)) @ u.conj().T
+
+
+def block_gram_oracle(s, n_qubits, k):
+    """Qubit k's correlation matrix of the root s, unsymmetrized: with k an
+    explicit index, s splits into blocks S_pq over the other qubits;
+    G[p,q,r,s] = Tr[S_pq S_rs] and m_ij = sum sigma_i[q,r] sigma_j[s,p]
+    G[p,q,r,s]."""
+    blocks = s.reshape(2**k, 2, 2 ** (n_qubits - k - 1), 2**k, 2, -1)
+    gram = np.einsum("apbcqe,creasb->pqrs", blocks, blocks)
     sigma = np.stack([PAULI[a] for a in "xyz"])
+    return np.einsum("iqr,jsp,pqrs->ij", sigma, sigma, gram)
+
+
+@pytest.mark.parametrize("rank", ["1", "2", "d/4", "d/4+1", "d/2", "d/2+1", "d"])
+@pytest.mark.parametrize("n_qubits", [2, 3, 4, 5, 6, 7, 8])
+def test_correlation_matches_block_gram_partial_trace(n_qubits, rank):
+    # Ranks d/4 and d/4 + 1 sit on either side of the rule that sends a
+    # state to the support route; d/2 and d/2 + 1 both take the dense route.
+    d = 2**n_qubits
+    r = {"1": 1, "2": 2, "d/4": d // 4, "d/4+1": d // 4 + 1,
+         "d/2": d // 2, "d/2+1": d // 2 + 1, "d": d}[rank]
+    rho, s = state_with_root(10 * n_qubits + r, n_qubits, r)
     for k in range(n_qubits):
-        blocks = s.reshape(2**k, 2, 2 ** (n_qubits - k - 1), 2**k, 2, -1)
-        gram = np.einsum("apbcqe,creasb->pqrs", blocks, blocks)
-        expected = np.einsum("iqr,jsp,pqrs->ij", sigma, sigma, gram)
+        expected = block_gram_oracle(s, n_qubits, k)
         assert np.abs(expected.imag).max() < 1e-12
         np.testing.assert_allclose(
             correlation_matrix(rho, k), expected.real, rtol=0, atol=1e-12
         )
 
 
-@pytest.mark.parametrize("rank", ["1", "2", "d/2"])
-@pytest.mark.parametrize("n_qubits", [2, 3, 4, 5, 6])
+# Ranks 1, 2 and d/4 for N = 2...6, but for N = 2 rank 2, which takes the
+# dense route (4r > d); at N = 2 and 3, d/4 repeats rank 1 or 2.
+@pytest.mark.parametrize("n_qubits, rank", [
+    (n, rank) for n in [2, 3, 4, 5, 6] for rank in ["1", "2", "d/4"] if (n, rank) != (2, "2")])
 def test_support_route_meets_the_block_gram_oracle(n_qubits, rank):
     # Every consumer on a state whose root is stored as its d x r factor
     # meets the block-Gram oracle above.
     d = 2**n_qubits
-    r = {"1": 1, "2": 2, "d/2": d // 2}[rank]
-    seed = 10 * n_qubits + r + 5
-    u = haar_unitary(seed, d)
-    p = np.zeros(d)
-    p[:r] = rng_for(seed).uniform(0.1, 1.0, r)
-    p /= p.sum()
-    rho = dm((u * p) @ u.conj().T, n_qubits)
+    r = {"1": 1, "2": 2, "d/4": d // 4}[rank]
+    rho, s = state_with_root(10 * n_qubits + r + 5, n_qubits, r)
     assert rho.spectrum.root.shape == (d, r)
-    s = (u * np.sqrt(p)) @ u.conj().T
-    sigma = np.stack([PAULI[a] for a in "xyz"])
     report = lqu_all(rho)
     for k in range(n_qubits):
-        blocks = s.reshape(2**k, 2, 2 ** (n_qubits - k - 1), 2**k, 2, -1)
-        gram = np.einsum("apbcqe,creasb->pqrs", blocks, blocks)
-        expected = np.einsum("iqr,jsp,pqrs->ij", sigma, sigma, gram).real
+        expected = block_gram_oracle(s, n_qubits, k).real
         q = 1.0 - np.linalg.eigvalsh(expected)[-1]
         np.testing.assert_allclose(correlation_matrix(rho, k), expected, rtol=0, atol=1e-12)
         assert lqu_bipartition(rho, k) == pytest.approx(q, rel=0, abs=1e-12)
@@ -226,9 +173,9 @@ def test_support_route_meets_the_block_gram_oracle(n_qubits, rank):
 @pytest.mark.parametrize("rank", [1, 2, 8])
 def test_support_route_peak_memory_stays_below_a_quarter_of_a_state(rank):
     # N = 9: one complex d x d matrix is 4 MiB, the d x r factor 8 to 64 KiB.
-    # One qubit at a time holds one d x r gather buffer, its row indices and
-    # three r x r products: 0.009 to 0.038 of a d x d matrix here. The
-    # spectrum is formed before tracing.
+    # One qubit at a time holds X = [F_0 F_1], its conjugate, the 2r x 2r
+    # Gram Y = X^dagger X and Y's two transposed copies: 0.005 to 0.033 of a
+    # d x d matrix here. The spectrum is formed before tracing.
     d = 2**9
     g = complex_gaussian(rng_for(rank), (d, rank))
     rho = dm(g @ g.conj().T / np.linalg.norm(g) ** 2, 9)
@@ -242,16 +189,16 @@ def test_support_route_peak_memory_stays_below_a_quarter_of_a_state(rank):
     assert peak < 0.05 * 16 * d * d
 
 
-def test_support_route_at_half_rank_holds_one_pauli_product_at_a_time():
-    # N = 10, rank d/2: the factor F is half a d x d matrix and each r x r
-    # product a quarter. Forming one s_p F at a time, in one buffer, holds
-    # that buffer and the three products: 1.25 d x d matrices (2.25 when all
-    # three s_p F and their conjugates were built before the products).
+def test_support_route_at_its_largest_rank_holds_one_qubit_gram_at_a_time():
+    # N = 10, rank d/4, the largest the support route takes: the factor F,
+    # X = [F_0 F_1] (d/2 x d/2), its conjugate, Y = X^dagger X and Y's two
+    # transposed copies are each a quarter of a d x d matrix, and at most
+    # four of them live at once: 1.00 d x d matrices measured.
     d = 2**10
-    g = complex_gaussian(rng_for(d), (d, d // 2))
+    g = complex_gaussian(rng_for(d), (d, d // 4))
     rho = dm(g @ g.conj().T / np.linalg.norm(g) ** 2, 10)
     del g
-    assert rho.spectrum.root.shape == (d, d // 2)
+    assert rho.spectrum.root.shape == (d, d // 4)
     tracemalloc.start()
     try:
         lqu_all(rho)
@@ -279,16 +226,18 @@ def test_dense_route_peak_memory_stays_at_two_matrices():
     assert peak <= 2.1 * 16 * d * d
 
 
-@pytest.mark.parametrize("rank", ["1", "d/2", "d"])
-@pytest.mark.parametrize("n_qubits", range(1, 10))
-def test_per_qubit_entry_points_match_the_stacked_kernel(n_qubits, rank):
+# N = 1 has no support route (4r <= 2 holds for no rank r >= 1): its rank 1
+# runs dense, and it has no rank d/4.
+@pytest.mark.parametrize("n_qubits, rank", [
+    (n, rank) for n in range(1, 10) for rank in ["1", "d/4", "d"] if (n, rank) != (1, "d/4")])
+def test_per_qubit_entry_points_match_the_whole_register(n_qubits, rank):
     # One qubit alone gives the bits it gets in a call for the whole
     # register, on both routes.
     d = 2**n_qubits
-    r = {"1": 1, "d/2": d // 2, "d": d}[rank]
+    r = {"1": 1, "d/4": d // 4, "d": d}[rank]
     g = complex_gaussian(rng_for(d + r), (d, r))
     rho = dm(g @ g.conj().T / np.linalg.norm(g) ** 2, n_qubits)
-    assert rho.spectrum.root.shape == (d, r)
+    assert rho.spectrum.root.shape == (d, r if 4 * r <= d else d)
     matrices = _correlations_given_root(rho.spectrum.root, range(n_qubits))[0]
     report = lqu_all(rho)
     for k in range(n_qubits):
@@ -301,15 +250,26 @@ def test_per_qubit_entry_points_match_the_stacked_kernel(n_qubits, rank):
 @settings(max_examples=40, deadline=None)
 @given(seed=seeds)
 def test_skew_equals_one_minus_quadratic_form(seed):
-    # for unit n, (n . sigma)^2 = I, so I(rho, n.sigma) = 1 - n M n
-    rho = random_noisy_state(seed)
+    # for unit n, (n . sigma)^2 = I, so I(rho, n.sigma) = 1 - n M n, with
+    # n . sigma placed on qubit q by Kronecker products: on a full-rank
+    # N = 3 state (the dense route) and on N = 4 states of rank 1 and 4
+    # (the support route). skew_information's own root would turn the null
+    # space's O(eps) eigenvalues into O(1e-8) terms, so the low-rank states
+    # take I(rho, k) = Tr[rho k^2] - Tr[S k S k] from their exact root S.
     rng = rng_for(seed ^ 0xD1CE)
     n = rng.standard_normal(3)
     n /= np.linalg.norm(n)
-    for q in range(3):
-        k = sum(n[i] * pauli_on(3, q, a) for i, a in enumerate("xyz"))
-        m = correlation_matrix(rho, q)
-        assert skew_information(rho.matrix, k) == pytest.approx(1.0 - n @ m @ n, abs=1e-10)
+    states = [(random_noisy_state(seed), None)]
+    for r in (1, 4):
+        states.append(state_with_root(seed, 4, r))
+        assert states[-1][0].spectrum.root.shape == (16, r)
+    for rho, s in states:
+        for q in range(rho.n_qubits):
+            k = sum(n[i] * pauli_on(rho.n_qubits, q, a) for i, a in enumerate("xyz"))
+            m = correlation_matrix(rho, q)
+            skew = (skew_information(rho.matrix, k) if s is None
+                    else np.trace(rho.matrix @ k @ k - s @ k @ s @ k).real)
+            assert skew == pytest.approx(1.0 - n @ m @ n, abs=1e-10)
 
 
 # --- per-bipartition values and the report ----------------------------------
@@ -470,8 +430,10 @@ def test_imaginary_residue_raises_naming_its_entry():
     ],
     ids=["range-then-imaginary", "imaginary-then-range"],
 )
-def test_lowest_failing_qubit_of_a_chunk_reports_its_own_check(root, message):
-    # Both qubits share one chunk; the report is the lower qubit's, the
-    # check a qubit-by-qubit loop would have raised first.
+def test_lowest_failing_qubit_of_a_register_reports_its_own_check(root, message):
+    # Both qubits fail, and both are checked together from the register's
+    # (2, 3, 3) stack after the per-qubit loop; the report is the lower
+    # qubit's, the check it would have raised first had it been checked
+    # alone.
     with pytest.raises(NumericalContractViolation, match=f"^{re.escape(message)}$"):
         _lqus_given_root(root, range(2))

@@ -11,9 +11,9 @@ Rounding gives such an input eigenvalues near +-1e-17 where the exact state
 has zeros, and the exact roots of the positive ones would move the input's
 exact LQU by about 2.6e-9 (random N=3, seed 5). The dense path treats them
 as zeros, as it should, so the oracle does too; every eigenvalue of the
-noisy cases lies far above the floor. The p = 0 states of rank 1 and 2 take
-core's support route (a d x r factor of the root), the others its dense
-route. A w4 sweep just above p = 0 is held to its closed form instead.
+noisy cases lies far above the floor. The p = 0 states of rank 1, and of
+rank 2 at N = 3, take core's support route (a d x r factor of the root);
+the others, N = 2 rank 2 among them (4r > d), take its dense route. A w4 sweep just above p = 0 is held to its closed form instead.
 """
 
 import csv

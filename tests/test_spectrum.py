@@ -211,7 +211,7 @@ def test_root_storage_follows_the_rank(rank):
         assert lqu.validate(rho) == []
         spec = rho.spectrum
         s = root_matrix(spec)
-        if 2 * rank <= 16:  # the support route keeps a 16 x r factor, no 16 x 16 root
+        if 4 * rank <= 16:  # the support route keeps a 16 x r factor, no 16 x 16 root
             assert spec.root.shape == (16, rank)
             np.testing.assert_allclose(spec.root @ spec.root.conj().T, s, rtol=0, atol=1e-14)
         else:
@@ -219,6 +219,17 @@ def test_root_storage_follows_the_rank(rank):
             np.testing.assert_array_equal(s, spec.root)
         np.testing.assert_array_equal(s, s.conj().T)
         np.testing.assert_allclose(s @ s, h, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_qubits", range(2, 9))
+def test_support_route_ends_at_a_quarter_of_the_dimension(n_qubits):
+    # The route rule, 4r <= d: rank d/4 keeps its d x r factor, rank d/4 + 1
+    # the d x d root S.
+    d = 2**n_qubits
+    for rank, width in ((d // 4, d // 4), (d // 4 + 1, d)):
+        spec = spectrum(state_of_rank(rank, d, 10 * n_qubits + rank))
+        assert int(np.count_nonzero(spec.eigenvalues > 1e-3 / d)) == rank
+        assert spec.root.shape == (d, width)
 
 
 # A rank-deficient Hermitian part: the checks on the support route raise what

@@ -62,13 +62,16 @@ def classical_on_qubit_0(route, eps):
     """rho = |0><0| (x) A + |1><1| (x) B, block diagonal in qubit 0's basis,
     so Q_0 = 0 and the largest correlation of qubit 0 is Tr sqrt(rho)^2.
 
-    B has the eigenvalue -eps. On the support route it has no other, so
-    qubit 0 is diag(1 + eps, -eps), pure but for the dirt, and the rank is
-    d/2; on the dense route B's three other eigenvalues are small and
-    positive, qubit 0 is nearly pure and the rank is d - 1.
+    B has the eigenvalue -eps. On the support route it has no other and A
+    has rank d/4, so qubit 0 is diag(1 + eps, -eps), pure but for the dirt,
+    and the rank is d/4; on the dense route A has full rank, B's three other
+    eigenvalues are small and positive, qubit 0 is nearly pure and the rank
+    is d - 1.
     """
     b = np.array([0.0, 0.0, 0.0] if route == "support" else [1e-3, 2e-3, 3e-3])
     a = rng_for(7).uniform(0.1, 1.0, D // 2)
+    if route == "support":
+        a[D // 4:] = 0.0
     a *= (1 + eps - b.sum()) / a.sum()
     p = np.concatenate([a, b, [-eps]])
     u = np.zeros((D, D), dtype=complex)
@@ -85,7 +88,7 @@ def test_negative_mass_within_psd_tol_computes_on_a_pure_qubit(route, factor):
     # correlation range check does not see the dirt validate admits.
     size = factor * PSD_TOL
     rho = classical_on_qubit_0(route, size)
-    assert rho.spectrum.root.shape[1] == (D // 2 if route == "support" else D)
+    assert rho.spectrum.root.shape[1] == (D // 4 if route == "support" else D)
     violations = agreed_violations(rho)
     if factor < 1:
         assert violations == []
