@@ -133,6 +133,27 @@ def block_gram_oracle(s, n_qubits, k):
     return np.einsum("iqr,jsp,pqrs->ij", sigma, sigma, gram)
 
 
+@pytest.mark.parametrize(
+    "n_qubits, qubit", [(n, k) for n in range(1, 8) for k in range(n)]
+)
+@pytest.mark.parametrize("pauli", [1, 2, 3])
+def test_local_observable_matches_the_kronecker_product(n_qubits, qubit, pauli):
+    # The Pauli that the block-Gram kernel places on the qubit is the
+    # Kronecker product: row `pauli` of the correlation matrix is
+    # Tr[S s_p S s_j] with s_p and s_j built by np.kron, independent of the
+    # kernel's reshape convention. A full-rank state takes the dense route;
+    # for N >= 2 a rank-1 state takes the support route (N = 1 has none).
+    d = 2**n_qubits
+    s_p = pauli_on(n_qubits, qubit, "xyz"[pauli - 1])
+    for r in (d, 1) if 4 <= d else (d,):
+        rho, s = state_with_root(d + 3 * qubit + pauli + r, n_qubits, r)
+        assert rho.spectrum.root.shape == (d, r)
+        expected = [np.trace(s @ s_p @ s @ pauli_on(n_qubits, qubit, a)) for a in "xyz"]
+        np.testing.assert_allclose(
+            correlation_matrix(rho, qubit)[pauli - 1], np.real(expected), rtol=0, atol=1e-12
+        )
+
+
 @pytest.mark.parametrize("rank", ["1", "2", "d/4", "d/4+1", "d/2", "d/2+1", "d"])
 @pytest.mark.parametrize("n_qubits", [2, 3, 4, 5, 6, 7, 8])
 def test_correlation_matches_block_gram_partial_trace(n_qubits, rank):
