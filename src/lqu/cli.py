@@ -28,6 +28,7 @@ from .states import (
     InvalidDensityMatrix,
     build_state,
     build_states,
+    check_seed,
     closed_form_for,
     family_row,
     load_density_matrix,
@@ -42,11 +43,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {seed}")
-
-
 def _check_sweep(args) -> None:
     """Reject a sweep's arguments before --out is opened or anything computed."""
     rule, _, _, seeded = family_row(args.family)
@@ -56,7 +52,7 @@ def _check_sweep(args) -> None:
                          f"not to {args.family!r}")
     if seeded:
         qubit_dimension(args.qubits)
-        _check_seed(args.seed)
+        check_seed(args.seed, "--seed")
     if args.steps < 2:
         raise ValueError(f"steps must be >= 2, got {args.steps}")
     if args.param_from > args.param_to:
@@ -121,7 +117,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_random(args) -> int:
     check_noise(args.pure_fraction, "--pure-fraction")  # not 1 - it, which can round into range
-    _check_seed(args.seed)
+    check_seed(args.seed, "--seed")
     rho = build_state("random", 1.0 - args.pure_fraction, args.qubits, args.seed)
     if args.dump:
         save_density_matrix(rho, args.dump)

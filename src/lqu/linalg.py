@@ -60,18 +60,9 @@ def spectra(stack) -> list[Spectrum]:
     (P, d, d) stack, from one stacked eigh.
 
     Never raises on a non-Hermitian or non-PSD input, so validation can
-    report such defects as data.
-    Eigenvalues below d * eps * max|lambda| of their own matrix are zeroed in
-    its root: for rank-deficient input the eigensolver reports the null space
-    as O(eps) noise, and sqrt would amplify +1e-16 to 1e-8. The kept
-    eigenvalues are rescaled to sum to the trace, so Tr S^2 = Tr m although
-    the negative mass states.validate admits is dropped; the rescale is
-    skipped unless both sums are positive and finite. The r eigenvalues above
-    the floor pick each matrix's route: for 4r <= d the root is stored as its
-    d x r factor, whose 2r x 2r Gram per qubit in core costs less time and
-    memory than the block Gram of S up to about that rank, and more above it.
-    Every step works on each matrix alone, so a matrix gets the same bits in
-    any stack as in a stack of one.
+    report such defects as data. Past the eigh and the defects, _root takes
+    each matrix alone, so a matrix gets the same bits in any stack as in a
+    stack of one.
     """
     a = np.asarray(stack, dtype=complex)
     try:  # on the exactly-Hermitian part, so LAPACK sees clean input; halving
@@ -79,25 +70,35 @@ def spectra(stack) -> list[Spectrum]:
         w, v = np.linalg.eigh(a / 2 + a.conj().swapaxes(1, 2) / 2)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
-    d = w.shape[1]
-    with np.errstate(over="ignore"):  # finite entries near the float maximum
+    # Finite entries near the float maximum overflow the defects. Only a
+    # matrix validate rejects can overflow in _root: an accepted state's
+    # eigenvalues sum to within TRACE_TOL of 1, with none below -PSD_TOL.
+    with np.errstate(over="ignore", invalid="ignore"):
         defects = np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2)).tolist()
-    kept = w > d * np.finfo(float).eps * np.abs(w).max(axis=1, keepdims=True)
-    ranks = kept.sum(axis=1).tolist()
-    with np.errstate(all="ignore"):  # eigenvalues near the float maximum, zero sums
-        traces = w.sum(axis=1)
-        # over each matrix's own kept eigenvalues, the last (ascending): the
-        # floored zeros summed in would regroup numpy's pairwise sum
-        masses = np.array([w[i, d - r:].sum() for i, r in enumerate(ranks)])
-        scales = np.where((0 < traces) & (traces < np.inf) & (0 < masses) & (masses < np.inf),
-                          traces / masses, 1.0)
-    root_w = np.where(kept, w * scales[:, None], 0.0)
-    roots = [v[i, :, d - r:] * root_w[i, d - r:] ** 0.25 if 4 * r <= d else None
-             for i, r in enumerate(ranks)]  # ascending, so the support is the last r columns
-    dense = [i for i, root in enumerate(roots) if root is None]
-    if dense:
-        vd = v[dense] if len(dense) < len(v) else v  # all dense, as a stack of one: no copy
-        root = (vd * np.sqrt(root_w[dense])[:, None, :]) @ vd.conj().swapaxes(1, 2)
-        for i, s in zip(dense, (root + root.conj().swapaxes(1, 2)) / 2):
-            roots[i] = s
-    return [Spectrum(defect, wi, root) for defect, wi, root in zip(defects, w, roots)]
+        return [Spectrum(defect, wi, _root(wi, vi)) for defect, wi, vi in zip(defects, w, v)]
+
+
+def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The root of one matrix from its eigenvalues w (ascending) and
+    eigenvectors v.
+
+    Eigenvalues at or below d * eps * max|w| are zeroed: for rank-deficient
+    input the eigensolver reports the null space as O(eps) noise, and sqrt
+    would amplify +1e-16 to 1e-8. The r kept eigenvalues are rescaled to sum
+    to the trace, so Tr S^2 = Tr m although the negative mass
+    states.validate admits is dropped; the rescale is skipped unless both
+    sums are positive and finite. For 4r <= d the root is the d x r factor,
+    whose 2r x 2r Gram per qubit in core costs less time and memory than
+    the block Gram of S up to about that rank, and more above it.
+    """
+    d = len(w)
+    r = d - np.searchsorted(w, d * np.finfo(float).eps * np.maximum(-w[0], w[-1]), "right")
+    # the kept mass over the last r alone: summing the floored zeros in
+    # would regroup numpy's pairwise sum
+    trace, mass = w.sum(), w[d - r:].sum()
+    scaled = w * (trace / mass if 0 < trace < np.inf and 0 < mass < np.inf else 1.0)
+    if 4 * r <= d:  # ascending, so the support is the last r columns
+        return v[:, d - r:] * scaled[d - r:] ** 0.25
+    scaled[:d - r] = 0.0
+    s = (v * np.sqrt(scaled)) @ v.conj().T
+    return (s + s.conj().T) / 2

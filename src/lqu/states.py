@@ -49,6 +49,15 @@ def qubit_dimension(n_qubits, error: type[ValueError] = ValueError) -> int:
     return 2**n_qubits
 
 
+def check_seed(seed, name: str = "seed") -> None:
+    """The rule for an RNG seed: an integer by is_integer's rule, and >= 0.
+    name is how the message names the value."""
+    if not is_integer(seed):
+        raise ValueError(f"{name} must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"{name} must be >= 0, got {seed}")
+
+
 @contextmanager
 def output_file(path) -> Iterator[TextIO]:
     """path opened for writing text. If the block raises, the partial file
@@ -213,6 +222,7 @@ def random_pure(n_qubits: int, seed: int) -> np.ndarray:
     Deterministic for a given seed (PCG64 bit stream + Box-Muller).
     """
     dim = qubit_dimension(n_qubits)
+    check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     reals = gaussian_reals(rng, 2 * dim)
     amps = reals[:dim] + 1j * reals[dim:]

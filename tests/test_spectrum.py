@@ -2,6 +2,7 @@
 states decomposed together, each as it would be alone."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def test_every_consumer_reads_the_shared_spectrum(dense_eigs):
     assert dense_eigs.count(8) == 1
 
 
-def test_shared_sqrt_matches_matrix_sqrt_psd():
+def test_state_root_matches_the_spectrum_of_its_matrix():
     m = random_density(8, 16)
     rho = lqu.DensityMatrix(4, m)
     np.testing.assert_array_equal(root_matrix(rho.spectrum), root_matrix(spectrum(m)))
@@ -219,6 +220,24 @@ def test_root_storage_follows_the_rank(rank):
             np.testing.assert_array_equal(s, spec.root)
         np.testing.assert_array_equal(s, s.conj().T)
         np.testing.assert_allclose(s @ s, h, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("rank, bound", [(2**9, 4.1), (8, 3.1)], ids=["full-rank", "rank-8"])
+def test_spectrum_peak_memory_holds_no_copy_of_the_eigenvectors(rank, bound):
+    # N = 9, peak beyond the input in d x d matrices: the eigh stage holds
+    # about three, which is rank 8's peak (3.03 measured), and the dense
+    # root about four, V among them (4.03 measured). A copy of V would add
+    # a fifth to the dense root.
+    d = 2**9
+    m = state_of_rank(rank, d, rank)
+    tracemalloc.start()
+    try:
+        spec = spectrum(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.root.shape == (d, rank)
+    assert peak <= bound * 16 * d * d
 
 
 @pytest.mark.parametrize("n_qubits", range(2, 9))

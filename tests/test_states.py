@@ -313,6 +313,29 @@ def test_density_matrix_takes_a_numpy_integer_qubit_count():
     assert DensityMatrix(np.int64(1), np.eye(2) / 2).dim == 2
 
 
+@pytest.mark.parametrize("seed, message", [
+    (True, "seed must be an integer, got True"),
+    (1.5, "seed must be an integer, got 1.5"),
+    ("1", "seed must be an integer, got '1'"),
+    (-1, "seed must be >= 0, got -1"),
+], ids=["bool", "float", "string", "negative"])
+@pytest.mark.parametrize("entry", [lambda seed: random_pure(3, seed),
+                                   lambda seed: build_state("random", 0.5, 3, seed)],
+                         ids=["random_pure", "build_state"])
+def test_one_seed_rule_before_any_draw(monkeypatch, entry, seed, message):
+    def fail(*_):
+        raise AssertionError("amplitudes drawn before the seed was checked")
+
+    monkeypatch.setattr(lqu.states, "gaussian_reals", fail)
+    with pytest.raises(ValueError) as got:
+        entry(seed)
+    assert type(got.value) is ValueError and str(got.value) == message
+
+
+def test_random_pure_takes_a_numpy_integer_seed():
+    np.testing.assert_array_equal(random_pure(3, np.int64(42)), random_pure(3, 42))
+
+
 def test_random_pure_haar_marginal():
     # |amplitude_0|^2 of a Haar state is Beta(1, 7): mean 1/8, var 7/576.
     n = 10_000
