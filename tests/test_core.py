@@ -137,9 +137,9 @@ def block_gram_oracle(s, n_qubits, k):
     "n_qubits, qubit", [(n, k) for n in range(1, 8) for k in range(n)]
 )
 @pytest.mark.parametrize("pauli", [1, 2, 3])
-def test_kernel_pauli_placement_matches_the_kronecker_product(n_qubits, qubit, pauli):
-    # The Pauli that the block-Gram kernel places on the qubit is the
-    # Kronecker product: row `pauli` of the correlation matrix is
+def test_local_observable_matches_the_kronecker_product(n_qubits, qubit, pauli):
+    # The local observable, the Pauli that the block-Gram kernel places on
+    # the qubit, is the Kronecker product: row `pauli` of the correlation matrix is
     # Tr[S s_p S s_j] with s_p and s_j built by np.kron, independent of the
     # kernel's reshape convention. A full-rank state takes the dense route;
     # for N >= 2 a rank-1 state takes the support route (N = 1 has none).

@@ -67,7 +67,8 @@ def test_every_consumer_reads_the_shared_spectrum(dense_eigs):
     assert dense_eigs.count(8) == 1
 
 
-def test_state_root_matches_the_spectrum_of_its_matrix():
+def test_shared_sqrt_matches_matrix_sqrt_psd():
+    # The state's shared root is the root of its matrix's own spectrum.
     m = random_density(8, 16)
     rho = lqu.DensityMatrix(4, m)
     np.testing.assert_array_equal(root_matrix(rho.spectrum), root_matrix(spectrum(m)))
