@@ -1,6 +1,6 @@
 """Complex linear algebra helpers for small dense Hermitian problems.
 
-Everything here operates on stacks of square complex128 matrices. The heavy
+Everything here operates on square complex128 matrices. The heavy
 lifting (eigendecomposition) is delegated to LAPACK via numpy; this module
 measures what states.validate checks, and holds the package's one table of
 numerical tolerances.
@@ -8,6 +8,7 @@ numerical tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +34,14 @@ class NoConvergence(ArithmeticError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """What the package reads from one eigendecomposition of a matrix.
+    """What the package reads from the spectrum of a matrix: spectrum's
+    eigendecomposition, or mixture_spectrum's closed form.
 
     hermiticity_defect is max |m - m^dagger| of the matrix itself;
     eigenvalues (ascending) and root belong to its Hermitian part. The
-    principal square root S zeroes every eigenvalue at or below the rounding
-    floor and keeps the trace, Tr S^2 = Tr m. root holds S itself, or, for
-    the ranks spectra sends to the support route, the d x r factor
-    F = V_r diag(w_r^(1/4)) of the r eigenvalues above the floor, with
+    principal square root S keeps the trace, Tr S^2 = Tr m. root holds S
+    itself, or, for a rank r on the support route, the d x r factor
+    F = V_r diag(w_r^(1/4)) of the r nonzero eigenvalues, with
     S = F F^dagger. A plain record: states.validate judges the invariants,
     and states.valid_root hands out root once they hold.
     """
@@ -51,31 +52,30 @@ class Spectrum:
 
 
 def spectrum(m) -> Spectrum:
-    """The Spectrum of one matrix: the stack of one of spectra."""
-    return spectra(np.asarray(m, dtype=complex)[None])[0]
-
-
-def spectra(stack) -> list[Spectrum]:
-    """Hermiticity defect, eigenvalues and square root of each matrix of a
-    (P, d, d) stack, from one stacked eigh.
+    """Hermiticity defect, eigenvalues and square root of one matrix, from
+    one eigh.
 
     Never raises on a non-Hermitian or non-PSD input, so validation can
-    report such defects as data. Past the eigh and the defects, _root takes
-    each matrix alone, so a matrix gets the same bits in any stack as in a
-    stack of one.
+    report such defects as data.
     """
-    a = np.asarray(stack, dtype=complex)
+    a = np.asarray(m, dtype=complex)
     try:  # on the exactly-Hermitian part, so LAPACK sees clean input; halving
         # first is exact for normal floats and cannot overflow
-        w, v = np.linalg.eigh(a / 2 + a.conj().swapaxes(1, 2) / 2)
+        w, v = np.linalg.eigh(a / 2 + a.conj().T / 2)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
-    # Finite entries near the float maximum overflow the defects. Only a
+    # Finite entries near the float maximum overflow the defect. Only a
     # matrix validate rejects can overflow in _root: an accepted state's
     # eigenvalues sum to within TRACE_TOL of 1, with none below -PSD_TOL.
     with np.errstate(over="ignore", invalid="ignore"):
-        defects = np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2)).tolist()
-        return [Spectrum(defect, wi, _root(wi, vi)) for defect, wi, vi in zip(defects, w, v)]
+        return Spectrum(float(np.abs(a - a.conj().T).max()), w, _root(w, v))
+
+
+def _support_route(r: int, d: int) -> bool:
+    """The route rule: a root of rank r keeps its d x r factor for 4r <= d,
+    whose 2r x 2r Gram per qubit in core costs less time and memory than
+    the block Gram of S up to about that rank, and more above it."""
+    return 4 * r <= d
 
 
 def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -87,9 +87,8 @@ def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     would amplify +1e-16 to 1e-8. The r kept eigenvalues are rescaled to sum
     to the trace, so Tr S^2 = Tr m although the negative mass
     states.validate admits is dropped; the rescale is skipped unless both
-    sums are positive and finite. For 4r <= d the root is the d x r factor,
-    whose 2r x 2r Gram per qubit in core costs less time and memory than
-    the block Gram of S up to about that rank, and more above it.
+    sums are positive and finite. On the support route the root is the
+    d x r factor.
     """
     d = len(w)
     r = d - np.searchsorted(w, d * np.finfo(float).eps * np.maximum(-w[0], w[-1]), "right")
@@ -97,8 +96,35 @@ def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     # would regroup numpy's pairwise sum
     trace, mass = w.sum(), w[d - r:].sum()
     scaled = w * (trace / mass if 0 < trace < np.inf and 0 < mass < np.inf else 1.0)
-    if 4 * r <= d:  # ascending, so the support is the last r columns
+    if _support_route(r, d):  # ascending, so the support is the last r columns
         return v[:, d - r:] * scaled[d - r:] ** 0.25
     scaled[:d - r] = 0.0
     s = (v * np.sqrt(scaled)) @ v.conj().T
     return (s + s.conj().T) / 2
+
+
+def mixture_spectrum(psi: np.ndarray, noise: float, projector_defect: float) -> Spectrum:
+    """The Spectrum of (1 - noise) psi psi^dagger + noise * I / d in closed
+    form, with no eigh.
+
+    With b = noise / d and t = (1 - noise) |psi|^2 + b, the eigenvalues are
+    b (d - 1 times) and t, and the root is S = c I + g psi psi^dagger / |psi|^2
+    with c = sqrt(b) and g = sqrt(t) - c, written (t - b) / (sqrt(t) + c)
+    so that it does not cancel; the identity part is carried exactly, so no
+    eigenvalue needs a floor. At b = 0 the rank is 1, and the support route
+    keeps the d x 1 factor t^(1/4) psi / |psi|. projector_defect is the
+    Hermiticity defect of psi psi^dagger, which the mixture scales by
+    1 - noise.
+    """
+    d = len(psi)
+    norm2 = float(np.vdot(psi, psi).real)
+    a, b = (1.0 - noise) * norm2, noise / d
+    w = np.full(d, b)
+    w[-1] = a + b
+    if _support_route(1 if b == 0 else d, d):
+        root = (psi * (w[-1]**0.25 / math.sqrt(norm2)))[:, None]
+    else:
+        c = math.sqrt(b)
+        root = np.outer(psi, psi.conj() * (a / (math.sqrt(w[-1]) + c) / norm2))
+        root.flat[::d + 1] += c
+    return Spectrum((1.0 - noise) * projector_defect, w, root)

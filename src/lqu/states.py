@@ -15,7 +15,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from json.scanner import make_scanner
 from typing import Callable, TextIO
 
@@ -23,7 +23,8 @@ import numpy as np
 
 from .analytic import (check_gamma, check_noise, lqu_ghz3, lqu_ghz4_class, lqu_kay,
                        lqu_w3, lqu_w4)
-from .linalg import HERMITICITY_TOL, PSD_TOL, TRACE_TOL, Spectrum, spectra, spectrum
+from .linalg import (HERMITICITY_TOL, PSD_TOL, TRACE_TOL, Spectrum, mixture_spectrum,
+                     spectrum)
 
 # Largest qubit count the package accepts, checked by qubit_dimension before
 # anything of size 2^N is allocated. One complex d x d matrix takes
@@ -148,11 +149,13 @@ def mix_white_noise(amplitudes, noise: float) -> DensityMatrix:
     within TRACE_TOL of 1, so the state has unit trace.
     """
     check_noise(noise)
-    return _mix(_projector(amplitudes), noise)
+    psi = _amplitudes(amplitudes)
+    return _mix(np.outer(psi, psi.conj()), noise)
 
 
-def _projector(amplitudes) -> np.ndarray:
-    """|psi><psi| for an amplitude vector that meets mix_white_noise's rules."""
+def _amplitudes(amplitudes) -> np.ndarray:
+    """The amplitude vector as complex numbers, once it meets
+    mix_white_noise's rules."""
     psi = np.asarray(amplitudes, dtype=complex)
     if psi.ndim != 1:
         raise ValueError(f"amplitude vector must be 1-D, got an array of shape {psi.shape}")
@@ -171,7 +174,7 @@ def _projector(amplitudes) -> np.ndarray:
         raise ValueError(
             f"amplitude vector has squared norm {norm2}, not within {TRACE_TOL} of 1"
         )
-    return np.outer(psi, psi.conj())
+    return psi
 
 
 def _mix(projector: np.ndarray, noise: float) -> DensityMatrix:
@@ -316,53 +319,61 @@ def closed_form_for(family: str) -> Callable[[float], float] | None:
     return family_row(family)[2]
 
 
-# build_states decomposes its states a chunk at a time, the stack of a
-# chunk's d x d matrices holding at most this many entries: 32 states at
-# N = 3, 8 at N = 4, 2 at N = 5, and from N = 6 one, which is left to
-# decompose itself.
-SWEEP_ENTRIES = 2**11
+def _family_point(
+    family: str, n_qubits: int | None, seed: int | None
+) -> tuple[Callable[[float], DensityMatrix], Callable[[float], Spectrum] | None]:
+    """The family's state as a function of one param, and for a noise
+    family the function of the noise that gives that state's Spectrum in
+    closed form (None for kay).
+
+    A seeded family's row ('random') needs n_qubits and seed, and every
+    other family rejects them; a call that breaks its row's rule raises a
+    ValueError naming the family. The family's fixed part, its amplitude
+    vector or its one seeded draw, is built and checked once.
+    """
+    rule, state, _, seeded = family_row(family)
+    if (n_qubits is not None, seed is not None) != (seeded, seeded):
+        raise ValueError(f"{family} family {'needs' if seeded else 'rejects'} n_qubits and seed")
+    if callable(state) and not seeded:  # kay_state
+        return state, None
+    psi = _amplitudes(state(n_qubits, seed) if seeded else pure_state(family))
+    projector = np.outer(psi, psi.conj())
+    defect = float(np.abs(projector - projector.conj().T).max())
+
+    def point(noise):
+        rule(noise)
+        return _mix(projector, noise)
+
+    return point, lambda noise: mixture_spectrum(psi, noise, defect)
 
 
 def build_states(
     family: str, params, n_qubits: int | None = None, seed: int | None = None
 ) -> Iterator[DensityMatrix]:
-    """The density matrix of a named family at each parameter value, in order.
+    """The density matrix of a named family at each parameter value, in order,
+    one at a time, so memory does not grow with the number of params.
 
     A param is the white-noise fraction for the noise-mixed families and the
-    gamma parameter for the Kay family. A seeded family's row ('random')
-    needs n_qubits and seed, and every other family rejects them; a call
-    that breaks its row's rule raises a ValueError naming the family. The
-    family's fixed part, its amplitude vector or its one seeded draw, is
-    built and checked once, and mixed with white noise at each point. Each
-    chunk of SWEEP_ENTRIES' worth of states gets its spectra from one
-    stacked eigh, which gives each state the bits it would compute alone,
-    and is yielded before the next chunk is built, so memory does not grow
-    with the number of params.
+    gamma parameter for the Kay family; n_qubits and seed follow
+    _family_point's rule. A noise family's point comes with its spectrum in
+    closed form (linalg.mixture_spectrum), with no eigh; a kay point
+    decomposes its own matrix.
     """
-    rule, state, _, seeded = family_row(family)
-    if (n_qubits is not None, seed is not None) != (seeded, seeded):
-        raise ValueError(f"{family} family {'needs' if seeded else 'rejects'} n_qubits and seed")
-    if seeded or not callable(state):  # psi is checked and |psi><psi| formed once
-        projector = _projector(state(n_qubits, seed) if seeded else pure_state(family))
-
-        def state(noise):
-            rule(noise)
-            return _mix(projector, noise)
-    states = map(state, params)
-    for first in states:  # each chunk's first state, which sizes the chunk
-        chunk = [first, *islice(states, max(1, SWEEP_ENTRIES // first.dim**2) - 1)]
-        if len(chunk) > 1:  # a stack of one would only copy the matrix
-            for rho, spec in zip(chunk, spectra(np.stack([rho.matrix for rho in chunk]))):
-                rho.__dict__["spectrum"] = spec  # where cached_property keeps it
-        yield from chunk
+    point, exact = _family_point(family, n_qubits, seed)
+    for param in params:
+        rho = point(param)
+        if exact is not None:
+            rho.__dict__["spectrum"] = exact(param)  # where cached_property keeps it
+        yield rho
 
 
 def build_state(
     family: str, param: float, n_qubits: int | None = None, seed: int | None = None
 ) -> DensityMatrix:
     """The density matrix of a named family at one parameter value, by
-    build_states' rules."""
-    return next(build_states(family, [param], n_qubits, seed))
+    build_states' rules. Like every single state it decomposes its own
+    matrix, so `random` prints what `compute` of its dump prints."""
+    return _family_point(family, n_qubits, seed)[0](param)
 
 
 # --- density-matrix JSON format -------------------------------------------

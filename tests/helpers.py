@@ -90,9 +90,8 @@ def root_matrix(spec):
 
 def spectrum_alone(m):
     """(Hermiticity defect, eigenvalues, root) of one matrix, by the
-    arithmetic lqu.linalg.spectra applies to each matrix of a stack, written
-    for one 2-D matrix: the reference its stacked results must equal byte for
-    byte."""
+    arithmetic of lqu.linalg.spectrum, written out apart from it: the
+    reference its results must equal byte for byte."""
     a = np.asarray(m, dtype=complex)
     w, v = np.linalg.eigh(a / 2 + a.conj().T / 2)
     d = w.shape[0]

@@ -208,15 +208,14 @@ print(peak(200), peak(2000))
 
 
 def test_sweep_memory_does_not_grow_with_the_steps(tmp_path):
-    # Rows are written one chunk at a time (states.SWEEP_ENTRIES: 32 points at
-    # N = 3), each chunk before the next is built, so the traced peak of a
-    # 2000-point sweep stays within 64 KiB of a 200-point one; the grid
-    # itself, 8 B a point, is the only part that grows. Holding every row
-    # until the end costs about 0.5 KB a point. The sweeps run in a
-    # fresh interpreter, as the command does: in one that has imported the
-    # other test modules (mpmath among them) the peak also holds up to about
-    # 64 B a point of interpreter memory that gc.collect() gives back while
-    # finding nothing unreachable, which is not the sweep's.
+    # Rows are written one point at a time, each before the next state is
+    # built, so the traced peak of a 2000-point sweep stays within 64 KiB of
+    # a 200-point one; the grid itself, 8 B a point, is the only part that
+    # grows. Holding every row until the end costs about 0.5 KB a point. The
+    # sweeps run in a fresh interpreter, as the command does: in one that has
+    # imported the other test modules (mpmath among them) the peak also holds
+    # up to about 64 B a point of interpreter memory that gc.collect() gives
+    # back while finding nothing unreachable, which is not the sweep's.
     bound = 64 * 1024
     src = str(Path(lqu.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -380,6 +379,19 @@ def test_random_command_dump_round_trips(tmp_path, capsys):
     report = lqu.lqu_all(rho)
     printed = [float(line.split()[1]) for line in out.splitlines()[:3]]
     np.testing.assert_allclose(printed, report.per_bipartition, atol=1e-11)
+
+
+@pytest.mark.parametrize("n_qubits", range(3, 9))
+def test_random_prints_what_compute_of_its_dump_prints(tmp_path, capsys, n_qubits):
+    # `random` decomposes its own matrix, as `compute` does the file it
+    # wrote, so the two print the same bytes, on either route.
+    dump = tmp_path / "dump.json"
+    for fraction in ("1", "0.75", "0.5", "0.25", "0"):
+        for seed in (n_qubits, 100 + n_qubits):
+            printed = run(capsys, "random", "--qubits", str(n_qubits), "--seed", str(seed),
+                          "--pure-fraction", fraction, "--dump", str(dump))
+            assert printed[0] == 0
+            assert run(capsys, "compute", str(dump)) == printed, (fraction, seed)
 
 
 def test_random_dump_removes_partial_file_on_failure(tmp_path, capsys, monkeypatch):

@@ -47,8 +47,8 @@ GOLDENS = [
     ("sweep --family ghz3 --from 0 --to 1 --steps 11 --out {out}", None, "sweep_ghz3.csv"),
     ("sweep --family w4 --from 0 --to 1 --steps 11 --out {out}", None, "sweep_w4.csv"),
     ("sweep --family kay --from 2 --to 10 --steps 9 --out {out}", None, "sweep_kay.csv"),
-    # states.SWEEP_ENTRIES puts 8 points of N = 4 in a chunk: 8, 8 and a short
-    # 5, the first chunk mixing p = 0 (rank 1, support route) with full rank
+    # p = 0 (rank 1, the support route) and full rank, each point's spectrum
+    # taken in closed form
     ("sweep --family random --qubits 4 --seed 7 --from 0 --to 1 --steps 21 --out {out}",
      None, "sweep_random_q4_s7.csv"),
     # the paper's curves, on scripts/make_curve_data.py's own grid; the

@@ -145,3 +145,27 @@ def test_curve_sweeps_meet_their_50_digit_closed_forms(tmp_path, monkeypatch):
             assert {fmt(v) for v in values[0]} == {first}, family
             if last is not None:
                 assert {fmt(v) for v in values[-1]} == {last}, family
+
+
+def test_noise_sweeps_meet_their_50_digit_closed_forms_to_1e_15(tmp_path, monkeypatch):
+    # A noise family's sweep points take their spectrum in closed form, with
+    # the identity part carried exactly, so every q<k> and the mean of the
+    # eight noise curves lies within 1e-15 of the 50-digit closed form
+    # (3.9e-16 measured), and so does w4 just above pure, where the root
+    # floor of a decomposed matrix costs up to 8.4e-10 (7.6e-17 measured).
+    monkeypatch.setattr(cli, "_fmt", repr)
+    sweeps = [sweep for sweep in SWEEPS if sweep[0] != "kay"] + [("w4", "0", "1e-12", "5")]
+    assert len(sweeps) == 9
+    with mpmath.workdps(50):
+        for family, lo, hi, steps in sweeps:
+            out = tmp_path / f"{family}.csv"
+            assert cli.main(["sweep", "--family", family, "--from", lo, "--to", hi,
+                             "--steps", steps, "--out", str(out)]) == 0
+            with out.open() as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == int(steps)
+            for row in rows:
+                exact = _exact_closed_form(family, float(row["param"]))
+                err = max(abs(mpmath.mpf(float(v)) - exact)
+                          for k, v in row.items() if k not in ("param", "analytic"))
+                assert err <= 1e-15, (family, row["param"], mpmath.nstr(err, 3))

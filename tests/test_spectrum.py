@@ -1,5 +1,5 @@
-"""One eigendecomposition per state, shared by every consumer; a sweep's
-states decomposed together, each as it would be alone."""
+"""One eigendecomposition per state, shared by every consumer; a noise
+family's sweep points take theirs in closed form, with none."""
 
 import math
 import tracemalloc
@@ -9,33 +9,25 @@ import pytest
 
 import lqu
 from lqu import cli
-from lqu.linalg import HERMITICITY_TOL, spectra, spectrum
-from lqu.states import SWEEP_ENTRIES
+from lqu.linalg import HERMITICITY_TOL, spectrum
+from lqu.states import FAMILY_NAMES
 
 from helpers import (agreed_violations, complex_gaussian, haar_unitary, random_density,
                      random_hermitian, rng_for, root_matrix, spectrum_alone)
 from test_golden import GOLDENS
 
 
-class Decompositions(list):
-    """The dimension of each matrix decomposed, once for each matrix of a
-    stack; calls holds the shape of each call's argument."""
-
-    calls: list
-
-
 @pytest.fixture
 def dense_eigs(monkeypatch):
-    """Record every matrix numpy's eigh/eigvalsh decomposes; the 3x3
-    correlation eigenvalues are told apart by the caller."""
-    dims = Decompositions()
-    dims.calls = []
+    """The dimension of every matrix numpy's eigh/eigvalsh decomposes, once
+    for each matrix of a stack; the 3x3 correlation eigenvalues are told
+    apart by the caller."""
+    dims = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
 
         def counted(a, *args, _real=real, **kwargs):
             shape = np.shape(a)
-            dims.calls.append(shape)
             dims.extend([shape[-1]] * math.prod(shape[:-2]))
             return _real(a, *args, **kwargs)
 
@@ -106,24 +98,46 @@ def test_rank_one_compute_decomposes_the_state_once(tmp_path, capsys, dense_eigs
     assert dense_eigs.count(32) - before == 1
 
 
-def test_sweep_decomposes_each_point_once_on_either_route(tmp_path, dense_eigs):
-    # p = 0 is the pure W state (support route), p = 1 is I/16 (dense root)
+def recorded_points(monkeypatch):
+    """The (state, report) of each point cli.lqu_all is given, in order."""
+    points, real = [], cli.lqu_all
+
+    def recorded(rho):
+        points.append((rho, real(rho)))
+        return points[-1][1]
+
+    monkeypatch.setattr(cli, "lqu_all", recorded)
+    return points
+
+
+def test_sweep_decomposes_each_point_once_on_either_route(tmp_path, monkeypatch, dense_eigs):
+    # p = 0 is the pure W state (support route), p = 1 is I/16 (dense root);
+    # the sweep takes both spectra in closed form, the state built alone
+    # decomposes its own matrix, and the two agree within 1e-14.
+    points = recorded_points(monkeypatch)
     out = tmp_path / "w4.csv"
     assert cli.main(["sweep", "--family", "w4", "--from", "0", "--to", "1",
                      "--steps", "2", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 3
+    assert [rho.spectrum.root.shape for rho, _ in points] == [(16, 1), (16, 16)]
+    assert dense_eigs.count(16) == 0
+    for p, (rho, report) in zip([0.0, 1.0], points):
+        alone = lqu.build_state("w4", p)
+        assert alone.matrix.tobytes() == rho.matrix.tobytes()
+        assert alone.spectrum.root.shape == rho.spectrum.root.shape
+        np.testing.assert_allclose(values(report), values(lqu.lqu_all(alone)),
+                                   rtol=0, atol=1e-14)
     assert dense_eigs.count(16) == 2
 
 
-def test_sweep_decomposes_its_points_a_chunk_at_a_time(tmp_path, dense_eigs):
-    out = tmp_path / "w4.csv"
-    assert cli.main(["sweep", "--family", "w4", "--from", "0", "--to", "1",
-                     "--steps", "101", "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 102
-    chunk = SWEEP_ENTRIES // 16**2
-    assert chunk > 1
-    assert dense_eigs.count(16) == 101
-    assert [shape[-1] for shape in dense_eigs.calls].count(16) == math.ceil(101 / chunk)
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_noise_sweep_takes_no_eigh_and_kay_one_per_point(tmp_path, dense_eigs, family):
+    seeded = ["--qubits", "5", "--seed", "3"] if family == "random" else []
+    grid = ["--from", "2", "--to", "10"] if family == "kay" else ["--from", "0", "--to", "1"]
+    assert cli.main(["sweep", "--family", family, *grid, "--steps", "11", *seeded,
+                     "--out", str(tmp_path / "out.csv")]) == 0
+    dims = [dim for dim in dense_eigs if dim != 3]  # the 3x3 correlation eigenvalues aside
+    assert dims == ([8] * 11 if family == "kay" else [])
 
 
 def assert_same_spectrum(spec, m):
@@ -133,36 +147,38 @@ def assert_same_spectrum(spec, m):
         w.tobytes(), root.shape, root.tobytes())
 
 
-def test_stacked_spectra_match_each_matrix_alone():
-    # Every route in one stack: rank 1 and rank 2 (support), kay at gamma = 2
-    # (dense, its three zero eigenvalues floored), full rank (dense), full
-    # rank with an anti-Hermitian part that validate admits, and a matrix
-    # whose least eigenvalue lies above its own floor but below the others'.
+def values(report):
+    return [*report.per_bipartition, report.mean]
+
+
+def hexes(report):
+    return [v.hex() for v in values(report)]
+
+
+def test_spectrum_matches_the_reference_arithmetic():
+    # Every route: rank 1 and rank 2 (support), kay at gamma = 2 (dense, its
+    # three zero eigenvalues floored), full rank (dense), full rank with an
+    # anti-Hermitian part that validate admits, and a matrix whose least
+    # eigenvalue lies above its own floor but below the others'. At d = 16
+    # the floored zeros summed in with the kept eigenvalues would regroup
+    # numpy's pairwise sum; for the rank-12 matrix that moves bits.
     eight = [lqu.mix_white_noise(lqu.random_pure(3, 5), 0.0).matrix,
              lqu.kay_state(2.0).matrix, state_of_rank(2, 8, 3), random_density(4, 8),
              random_density(6, 8) + 1j * HERMITICITY_TOL / 8 * random_hermitian(7, 8),
              np.diag([1e-17] + [1e-3] * 7)]
-    # At d = 16 the floored zeros summed in with the kept eigenvalues would
-    # regroup numpy's pairwise sum; for this rank-12 matrix that moves bits.
     sixteen = [state_of_rank(12, 16, 1), lqu.mix_white_noise(lqu.pure_state("w4"), 0.0).matrix,
                random_density(5, 16)]
     assert np.abs(spectrum(eight[1]).eigenvalues[:3]).max() < 1e-15
     for matrices, ranks in ((eight, [1, 8, 2, 8, 8, 8]), (sixteen, [16, 1, 16])):
-        got = spectra(np.stack(matrices))
+        got = [spectrum(m) for m in matrices]
         assert [spec.root.shape[1] for spec in got] == ranks
         for spec, m in zip(got, matrices):
             assert_same_spectrum(spec, m)
-            assert_same_spectrum(spectrum(m), m)
-
-
-def hexes(report):
-    return [v.hex() for v in (*report.per_bipartition, report.mean)]
 
 
 # Every golden grid, w4 just above its pure state, and seeded random sweeps at
-# N = 1...8; the chunk holds 32 points at N = 3 and 8 at N = 4, so curve_kay's
-# first chunk mixes gamma = 2 with full rank and its last holds 17 of 81
-# points. From N = 6 a chunk is one point.
+# N = 1...8: curve_kay's first point, gamma = 2, floors three zero
+# eigenvalues, and each noise sweep's p = 0 takes the support route.
 _SWEEPS = [command for command, _, _ in GOLDENS if command.startswith("sweep")] + [
     "sweep --family w4 --from 0 --to 1e-12 --steps 5 --out {out}"] + [
     f"sweep --family random --qubits {n} --seed {n} --from 0 --to 1 "
@@ -171,25 +187,29 @@ _SWEEPS = [command for command, _, _ in GOLDENS if command.startswith("sweep")] 
 
 @pytest.mark.parametrize("command", _SWEEPS, ids=lambda c: "-".join(c.split()[2:-2:2]))
 def test_sweep_point_matches_the_state_decomposed_alone(tmp_path, monkeypatch, command):
-    points, real = [], cli.lqu_all
-
-    def recorded(rho):
-        points.append((rho, real(rho)))
-        return points[-1][1]
-
-    monkeypatch.setattr(cli, "lqu_all", recorded)
+    # The same matrix decomposed alone, and the point built alone: a kay
+    # point is hex-identical to both, a noise-family point's closed form
+    # within 1e-14 of them. Just above pure (0 < p < 1e-4) the decomposed
+    # matrix's root floor costs it up to 8.4e-10 (README, "Accuracy near
+    # rank deficiency"), where the closed form meets the exact value to
+    # 1e-15 (tests/test_precision_oracle.py); there the two agree to 1e-8.
+    points = recorded_points(monkeypatch)
     argv = command.format(out=tmp_path / "out.csv").split()
     assert cli.main(argv) == 0
     args = cli.build_parser().parse_args(argv)
     params = np.linspace(args.param_from, args.param_to, args.steps).tolist()
     assert len(points) == len(params)
     for p, (rho, report) in zip(params, points):
-        assert_same_spectrum(rho.spectrum, rho.matrix)
-        # the same matrix decomposed alone, and the point built alone
+        decomposed = lqu.DensityMatrix(rho.n_qubits, rho.matrix)
+        assert_same_spectrum(decomposed.spectrum, rho.matrix)
         alone = lqu.build_state(args.family, p, args.qubits, args.seed)
         assert alone.matrix.tobytes() == rho.matrix.tobytes()
-        for state in (lqu.DensityMatrix(rho.n_qubits, rho.matrix), alone):
-            assert hexes(report) == hexes(real(state))
+        for state in (decomposed, alone):
+            if args.family == "kay":
+                assert hexes(report) == hexes(lqu.lqu_all(state))
+            else:
+                np.testing.assert_allclose(values(report), values(lqu.lqu_all(state)),
+                                           rtol=0, atol=1e-8 if 0 < p < 1e-4 else 1e-14)
 
 
 def state_of_rank(rank, dim, seed):
