@@ -23,14 +23,14 @@ import numpy as np
 
 from .analytic import (check_gamma, check_noise, lqu_ghz3, lqu_ghz4_class, lqu_kay,
                        lqu_w3, lqu_w4)
-from .linalg import (HERMITICITY_TOL, PSD_TOL, TRACE_TOL, Spectrum, mixture_spectrum,
-                     spectrum)
+from .linalg import (HERMITICITY_TOL, PSD_TOL, TRACE_TOL, Spectrum, _root,
+                     mixture_spectrum, spectrum)
 
 # Largest qubit count the package accepts, checked by qubit_dimension before
 # anything of size 2^N is allocated. One complex d x d matrix takes
 # 16 * 4^N bytes (256 MiB at N = 12). The dense path keeps a state's matrix
-# and root, and lqu_all works in at most two more (tests/test_core.py):
-# about four, 1 GiB at N = 12.
+# (none for a sweep point) and root, and lqu_all works in at most two more
+# (tests/test_core.py): about four, 1 GiB at N = 12.
 MAX_QUBITS = 12
 
 
@@ -82,32 +82,31 @@ class DensityMatrixFormatError(ValueError):
     """Density-matrix file is malformed; message carries the position."""
 
 
-@dataclass(frozen=True)
 class DensityMatrix:
-    """2^N x 2^N complex matrix meant to be Hermitian, unit-trace and PSD.
+    """2^N x 2^N complex state meant to be Hermitian, unit-trace and PSD,
+    from one of two sources.
 
-    Construction checks the shape and that every entry is finite; the other
-    invariants are checked by validate(), which reports violations as data
-    instead of raising. The matrix is stored as a read-only copy, so the
-    spectrum computed from it on first use can never go stale.
+    DensityMatrix(n_qubits, matrix) checks the shape and that every entry
+    is finite, and stores the matrix as a read-only copy, so the spectrum
+    computed from it on first use can never go stale. A point build_states
+    yields is the other source: its family's closed-form Spectrum and trace,
+    with its matrix formed only when read. Either way validate() checks the
+    other invariants, and reports violations as data instead of raising.
     """
 
-    n_qubits: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        dim = qubit_dimension(self.n_qubits)
-        m = np.array(self.matrix, dtype=complex)
+    def __init__(self, n_qubits: int, matrix):
+        dim = qubit_dimension(n_qubits)
+        m = np.array(matrix, dtype=complex)
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
         if m.shape != (dim, dim):
             raise ValueError(
                 f"matrix has shape {m.shape}, expected ({dim}, {dim}) "
-                f"for {self.n_qubits} qubits"
+                f"for {n_qubits} qubits"
             )
         if not np.isfinite(m).all():
             i, j = np.argwhere(~np.isfinite(m))[0]
             raise ValueError(f"matrix[{i}][{j}] is not finite: {m[i, j]}")
+        self.n_qubits, self.matrix = n_qubits, m
 
     @property
     def dim(self) -> int:
@@ -115,9 +114,30 @@ class DensityMatrix:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        """The one eigendecomposition of this state, unless build_states
-        gave it one: validate and every sqrt(rho) in core read it."""
+        """The one eigendecomposition of the matrix: validate and every
+        sqrt(rho) in core read it."""
         return spectrum(self.matrix)
+
+    @cached_property
+    def trace(self) -> complex:
+        """Tr rho, as validate reads it."""
+        with np.errstate(over="ignore", invalid="ignore"):  # entries near the float maximum
+            return complex(np.trace(self.matrix))
+
+
+class _ClosedForm(DensityMatrix):
+    """A family's state at one parameter, from its fixed part's closed form:
+    the Spectrum and trace with no eigh, and the matrix only when read, with
+    the bytes build_state gives."""
+
+    def __init__(self, part, param):
+        self.n_qubits, self._part, self._param = part.n_qubits, part, param
+        # plain attributes, in place of the matrix source's cached properties
+        self.spectrum, self.trace = part.closed_form(param)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self._part.state(self._param).matrix
 
 
 @dataclass(frozen=True)
@@ -203,6 +223,52 @@ def kay_state(gamma: float) -> DensityMatrix:
     return DensityMatrix(n_qubits=3, matrix=(_KAY_BASE + g * np.eye(8)) / (8 + 8 * g))
 
 
+class _Mixture:
+    """A noise family's fixed part, its amplitude vector psi, checked once by
+    mix_white_noise's rules: (1 - p) psi psi^dagger + p I / d at noise p."""
+
+    def __init__(self, amplitudes):
+        self.psi = psi = _amplitudes(amplitudes)
+        self.n_qubits = psi.size.bit_length() - 1
+        self.norm2 = float(np.vdot(psi, psi).real)
+        projector = np.outer(psi, psi.conj())
+        self.defect = float(np.abs(projector - projector.conj().T).max())
+
+    def state(self, noise: float) -> DensityMatrix:
+        """The state at noise from its matrix, by mix_white_noise's arithmetic."""
+        check_noise(noise)
+        return _mix(np.outer(self.psi, self.psi.conj()), noise)
+
+    def closed_form(self, noise: float) -> tuple[Spectrum, float]:
+        """The Spectrum and trace of the state at noise, with no matrix."""
+        check_noise(noise)
+        return (mixture_spectrum(self.psi, noise, self.defect),
+                (1.0 - noise) * self.norm2 + noise)
+
+
+class _Kay:
+    """The Kay family's fixed part: _KAY_BASE's exact eigenpairs, ascending.
+    The base pairs e_i with e_{7-i}, and each pair's 2 x 2 block has the
+    eigenvectors (e_i +- e_{7-i}) / sqrt 2, so a state's eigenvalues are
+    (mu + gamma) / (8 + 8 gamma): at gamma = 2 its three zeros are exact."""
+
+    n_qubits = 3
+    eigenvalues = np.array([-2.0, -2, -2, 2, 2, 2, 2, 6])
+    pairs = np.array([1, 2, 3, 0, 1, 2, 3, 0])  # column c is (e_i + s_c e_{7-i}) / sqrt 2
+    eigenvectors = (np.eye(8, dtype=complex)[:, pairs] + np.eye(8)[:, 7 - pairs]
+                    * np.array([-1, 1, -1, -1, 1, -1, 1, 1])) / math.sqrt(2)
+
+    state = staticmethod(kay_state)
+
+    def closed_form(self, gamma: float) -> tuple[Spectrum, float]:
+        """The Spectrum and trace of kay_state(gamma), with no matrix: the
+        root by the one per-matrix rule, linalg._root."""
+        g = float(gamma)
+        check_gamma(g)
+        w = (self.eigenvalues + g) / (8 + 8 * g)
+        return Spectrum(0.0, w, _root(w, self.eigenvectors)), float(w.sum())
+
+
 def gaussian_reals(rng: np.random.Generator, n: int) -> np.ndarray:
     """n standard normal draws from PCG64 uniforms via Box-Muller.
 
@@ -244,8 +310,7 @@ def validate(rho: DensityMatrix) -> list[Violation]:
     out: list[Violation] = []
     if spec.hermiticity_defect > HERMITICITY_TOL:
         out.append(Violation("HermiticityViolation", spec.hermiticity_defect))
-    with np.errstate(over="ignore", invalid="ignore"):  # entries near the float maximum
-        trace_err = abs(complex(np.trace(rho.matrix)) - 1.0)
+    trace_err = abs(rho.trace - 1.0)
     if not trace_err <= TRACE_TOL:  # an overflowed sum may be nan
         out.append(Violation("TraceViolation", trace_err))
     w0 = spec.eigenvalues[0]
@@ -264,12 +329,11 @@ def valid_root(rho: DensityMatrix) -> np.ndarray:
 
 
 # The one family registry, in the order the command line lists the families:
-# name -> (parameter rule, state, closed form in the parameter or None,
-# seeded). A pure family's state is its amplitude table, (qubit count,
+# name -> (parameter rule, fixed part, closed form in the parameter or None,
+# seeded). A pure family's fixed part is its amplitude table, (qubit count,
 # [(basis index, amplitude), ...]), and a seeded family's is the draw of its
 # amplitude vector from n_qubits and seed, which no other family takes; both
-# are mixed with white noise. Any other family's state is a builder of the
-# parameter.
+# are mixed with white noise. Kay's is its exact eigenpairs.
 _SQ2, _SQ3, _SQ6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 FAMILIES: dict[str, tuple] = {
     "ghz3": (check_noise, (3, [(0, 1 / _SQ2), (7, 1 / _SQ2)]), lqu_ghz3, False),
@@ -285,7 +349,7 @@ FAMILIES: dict[str, tuple] = {
                  lqu_ghz4_class, False),
     "chi4": (check_noise, (4, [(15, _SQ2 / _SQ6)] + [(i, 1 / _SQ6) for i in (1, 2, 4, 8)]),
              lqu_ghz4_class, False),
-    "kay": (check_gamma, kay_state, lqu_kay, False),
+    "kay": (check_gamma, _Kay(), lqu_kay, False),
     "random": (check_noise, random_pure, None, True),
 }
 
@@ -305,7 +369,7 @@ def family_row(family: str) -> tuple:
 def pure_state(family: str) -> np.ndarray:
     """Amplitude vector of one of the pure families."""
     _, state, _, _ = family_row(family)
-    if callable(state):
+    if not isinstance(state, tuple):
         raise ValueError(f"family {family!r} has no fixed amplitude vector")
     n, pattern = state
     amps = np.zeros(2**n, dtype=complex)
@@ -319,61 +383,48 @@ def closed_form_for(family: str) -> Callable[[float], float] | None:
     return family_row(family)[2]
 
 
-def _family_point(
-    family: str, n_qubits: int | None, seed: int | None
-) -> tuple[Callable[[float], DensityMatrix], Callable[[float], Spectrum] | None]:
-    """The family's state as a function of one param, and for a noise
-    family the function of the noise that gives that state's Spectrum in
-    closed form (None for kay).
+def _family_part(family: str, n_qubits: int | None, seed: int | None) -> _Mixture | _Kay:
+    """The family's fixed part, built and checked once: a _Mixture of its
+    amplitude vector or of its one seeded draw, or kay's eigenpairs.
 
     A seeded family's row ('random') needs n_qubits and seed, and every
     other family rejects them; a call that breaks its row's rule raises a
-    ValueError naming the family. The family's fixed part, its amplitude
-    vector or its one seeded draw, is built and checked once.
+    ValueError naming the family.
     """
-    rule, state, _, seeded = family_row(family)
+    _, state, _, seeded = family_row(family)
     if (n_qubits is not None, seed is not None) != (seeded, seeded):
         raise ValueError(f"{family} family {'needs' if seeded else 'rejects'} n_qubits and seed")
-    if callable(state) and not seeded:  # kay_state
-        return state, None
-    psi = _amplitudes(state(n_qubits, seed) if seeded else pure_state(family))
-    projector = np.outer(psi, psi.conj())
-    defect = float(np.abs(projector - projector.conj().T).max())
-
-    def point(noise):
-        rule(noise)
-        return _mix(projector, noise)
-
-    return point, lambda noise: mixture_spectrum(psi, noise, defect)
+    if seeded:
+        return _Mixture(state(n_qubits, seed))
+    return _Mixture(pure_state(family)) if isinstance(state, tuple) else state
 
 
 def build_states(
     family: str, params, n_qubits: int | None = None, seed: int | None = None
 ) -> Iterator[DensityMatrix]:
-    """The density matrix of a named family at each parameter value, in order,
-    one at a time, so memory does not grow with the number of params.
+    """The state of a named family at each parameter value, in order, one at
+    a time, so memory does not grow with the number of params.
 
     A param is the white-noise fraction for the noise-mixed families and the
     gamma parameter for the Kay family; n_qubits and seed follow
-    _family_point's rule. A noise family's point comes with its spectrum in
-    closed form (linalg.mixture_spectrum), with no eigh; a kay point
-    decomposes its own matrix.
+    _family_part's rule. Each point is its family's closed form, with no
+    eigh: a noise family's Spectrum from linalg.mixture_spectrum, a kay
+    point's from its exact eigenpairs. Its d x d matrix is formed only if
+    .matrix is read, with the bytes build_state gives.
     """
-    point, exact = _family_point(family, n_qubits, seed)
+    part = _family_part(family, n_qubits, seed)
     for param in params:
-        rho = point(param)
-        if exact is not None:
-            rho.__dict__["spectrum"] = exact(param)  # where cached_property keeps it
-        yield rho
+        yield _ClosedForm(part, param)
 
 
 def build_state(
     family: str, param: float, n_qubits: int | None = None, seed: int | None = None
 ) -> DensityMatrix:
     """The density matrix of a named family at one parameter value, by
-    build_states' rules. Like every single state it decomposes its own
-    matrix, so `random` prints what `compute` of its dump prints."""
-    return _family_point(family, n_qubits, seed)[0](param)
+    build_states' rules. Like every single state it is its matrix,
+    decomposed on first use, so `random` prints what `compute` of its dump
+    prints."""
+    return _family_part(family, n_qubits, seed).state(param)
 
 
 # --- density-matrix JSON format -------------------------------------------

@@ -1,7 +1,7 @@
 """Shared test utilities: seeded random matrices, a partial-trace oracle,
-skew-information oracles, the one-matrix spectrum arithmetic that
-lqu.linalg stacks and a per-entry reference parser for the density-matrix
-JSON format.
+skew-information oracles, the local quantum Fisher information, the
+one-matrix spectrum arithmetic that lqu.linalg stacks and a per-entry
+reference parser for the density-matrix JSON format.
 
 Everything here is deliberately independent of the library internals so it
 can serve as an oracle for them. The two exceptions are root_matrix, which
@@ -163,6 +163,28 @@ def lqu_variational(rho, qubit, n_samples, seed):
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     sigma = np.stack([pauli_on(n_qubits, qubit, a) for a in "xyz"])
     return float(_skew_terms(rho, np.einsum("si,ijk->sjk", directions, sigma)).min())
+
+
+def lqfi(matrix, n_qubits, k):
+    """The local quantum Fisher information of qubit k against the rest: the
+    SLD Fisher information F/4 of r . sigma on qubit k, least over unit r,
+    which is the least eigenvalue of the 3x3 matrix
+    M_ij = 1/2 sum_ab (la - lb)^2 / (la + lb) Re(K_i,ab conj K_j,ab), with
+    K_p = V^dagger sigma_p^(k) V in the eigenbasis (l, V) of matrix.
+
+    Its own eigh, the eigenvalues clipped at 0 and the pairs of zero sum
+    left out; no root and no floor. Luo's I <= F/4 <= 2 I bounds the LQU:
+    LQFI_k / 2 <= Q_k <= LQFI_k, with equality on the right for a pure
+    state.
+    """
+    w, v = np.linalg.eigh(np.asarray(matrix, dtype=complex))
+    w = np.clip(w, 0.0, None)
+    total = w[:, None] + w[None, :]
+    weight = np.divide((w[:, None] - w[None, :]) ** 2, total,
+                       out=np.zeros_like(total), where=total > 0)
+    ks = [v.conj().T @ pauli_on(n_qubits, k, a) @ v for a in "xyz"]
+    m = np.array([[np.sum(weight * (ki * kj.conj()).real) / 2 for kj in ks] for ki in ks])
+    return float(np.linalg.eigvalsh(m)[0])
 
 
 def _reference_entry(value, row, col):

@@ -23,6 +23,7 @@ from helpers import (
     bloch_vector,
     complex_gaussian,
     haar_unitary,
+    lqfi,
     lqu_variational,
     pauli_on,
     random_density,
@@ -370,6 +371,52 @@ def test_local_unitary_invariance(seed):
     np.testing.assert_allclose(a, b, atol=1e-9)
 
 
+def ranked_state(seed, n_qubits, rank):
+    """G G^dagger / Tr for a seeded complex Gaussian G of d x rank."""
+    g = complex_gaussian(rng_for(seed), (2**n_qubits, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def metamorphic_states(n_qubits):
+    """Seeded states of ranks 1, d/4 and d, so both routes."""
+    d = 2**n_qubits
+    return [ranked_state(100 * n_qubits + r, n_qubits, r) for r in sorted({1, d // 4, d})]
+
+
+@pytest.mark.parametrize("n_qubits", range(2, 10))
+def test_qubit_permutation_permutes_the_bipartitions(n_qubits):
+    # Qubit j of the permuted state is qubit perm[j] of the original, for a
+    # seeded permutation other than the identity: one transpose of the 2N
+    # tensor indices, no Kronecker product.
+    rng, perm = rng_for(n_qubits), list(range(n_qubits))
+    while perm == sorted(perm):
+        perm = rng.permutation(n_qubits).tolist()
+    axes = perm + [n_qubits + p for p in perm]
+    d = 2**n_qubits
+    for m in metamorphic_states(n_qubits):
+        permuted = m.reshape((2,) * 2 * n_qubits).transpose(axes).reshape(d, d)
+        q = lqu_all(dm(m, n_qubits)).per_bipartition
+        got = lqu_all(dm(permuted, n_qubits)).per_bipartition
+        np.testing.assert_allclose(got, [q[p] for p in perm], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_qubits", range(2, 10))
+def test_local_unitaries_leave_the_bipartitions_unchanged(n_qubits):
+    # A Haar unitary on each qubit k, applied as U m U^dagger to k's bit of
+    # the rows and the columns by one einsum, no Kronecker product.
+    d = 2**n_qubits
+    for m in metamorphic_states(n_qubits):
+        rotated = m
+        for k in range(n_qubits):
+            u = haar_unitary(10 * n_qubits + k)
+            t = rotated.reshape(2**k, 2, -1, 2**k, 2, d >> (k + 1))
+            rotated = np.einsum("pq,aqbcrd,sr->apbcsd", u, t, u.conj()).reshape(d, d)
+        np.testing.assert_allclose(lqu_all(dm(rotated, n_qubits)).per_bipartition,
+                                   lqu_all(dm(m, n_qubits)).per_bipartition,
+                                   rtol=0, atol=1e-13)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=seeds)
 def test_classical_diagonal_states_have_zero_lqu(seed):
@@ -410,6 +457,25 @@ def test_variational_upper_bounds_the_closed_route(seed):
     for q in range(3):
         v = lqu_variational(rho.matrix, q, 10, seed=seed ^ 0xBEEF)
         assert v >= lqu_bipartition(rho, q) - 1e-9
+
+
+# --- local quantum Fisher information (tests/helpers.py) --------------------
+
+@pytest.mark.parametrize("n_qubits", range(2, 6))
+@pytest.mark.parametrize("rank", [1, 2, "d"])
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_lqfi_bounds_the_lqu_from_both_sides(n_qubits, rank, noise):
+    # LQFI_k / 2 <= Q_k <= LQFI_k on every qubit, with no root on the
+    # LQFI side; the pure states meet LQFI_k = Q_k.
+    d = 2**n_qubits
+    r = d if rank == "d" else rank
+    m = (1 - noise) * ranked_state(10 * n_qubits + r, n_qubits, r) + noise / d * np.eye(d)
+    q = lqu_all(dm(m, n_qubits)).per_bipartition
+    for k in range(n_qubits):
+        f = lqfi(m, n_qubits, k)
+        assert f / 2 - 1e-12 <= q[k] <= f + 1e-12, (k, f, q[k])
+        if r == 1 and noise == 0.0:
+            assert abs(q[k] - f) <= 1e-13, (k, f, q[k])
 
 
 # --- clamping policy --------------------------------------------------------

@@ -148,14 +148,16 @@ def test_curve_sweeps_meet_their_50_digit_closed_forms(tmp_path, monkeypatch):
 
 
 def test_noise_sweeps_meet_their_50_digit_closed_forms_to_1e_15(tmp_path, monkeypatch):
-    # A noise family's sweep points take their spectrum in closed form, with
-    # the identity part carried exactly, so every q<k> and the mean of the
-    # eight noise curves lies within 1e-15 of the 50-digit closed form
-    # (3.9e-16 measured), and so does w4 just above pure, where the root
-    # floor of a decomposed matrix costs up to 8.4e-10 (7.6e-17 measured).
+    # Every sweep point takes its spectrum in closed form: a noise family's
+    # with the identity part carried exactly, a kay point's from the exact
+    # eigenpairs of its base. So every q<k> and the mean of all nine curves
+    # lies within 1e-15 of the 50-digit closed form (3.9e-16 measured on the
+    # noise curves, 7.0e-16 on kay), and so does w4 just above pure, where
+    # the root floor of a decomposed matrix costs up to 8.4e-10 (7.6e-17
+    # measured).
     monkeypatch.setattr(cli, "_fmt", repr)
-    sweeps = [sweep for sweep in SWEEPS if sweep[0] != "kay"] + [("w4", "0", "1e-12", "5")]
-    assert len(sweeps) == 9
+    sweeps = SWEEPS + [("w4", "0", "1e-12", "5")]
+    assert len(sweeps) == 10
     with mpmath.workdps(50):
         for family, lo, hi, steps in sweeps:
             out = tmp_path / f"{family}.csv"

@@ -1,5 +1,6 @@
-"""One eigendecomposition per state, shared by every consumer; a noise
-family's sweep points take theirs in closed form, with none."""
+"""One eigendecomposition per state, shared by every consumer; a family's
+sweep points take theirs in closed form, with none, and form their matrix
+only when it is read."""
 
 import math
 import tracemalloc
@@ -9,8 +10,9 @@ import pytest
 
 import lqu
 from lqu import cli
+from lqu.analytic import GAMMA_MAX
 from lqu.linalg import HERMITICITY_TOL, spectrum
-from lqu.states import FAMILY_NAMES
+from lqu.states import _KAY_BASE, FAMILIES, FAMILY_NAMES
 
 from helpers import (agreed_violations, complex_gaussian, haar_unitary, random_density,
                      random_hermitian, rng_for, root_matrix, spectrum_alone)
@@ -130,14 +132,83 @@ def test_sweep_decomposes_each_point_once_on_either_route(tmp_path, monkeypatch,
     assert dense_eigs.count(16) == 2
 
 
+def family_grid(family):
+    """An 11-point grid over the family's parameter range, and the n_qubits
+    and seed its registry row takes."""
+    if family == "kay":
+        return np.linspace(2, 10, 11).tolist(), {}
+    return np.linspace(0, 1, 11).tolist(), ({"n_qubits": 5, "seed": 3} if family == "random"
+                                            else {})
+
+
+def sweep_argv(family, out):
+    """The command line of family_grid's sweep, written to out."""
+    params, extra = family_grid(family)
+    return ["sweep", "--family", family, "--from", repr(params[0]), "--to", repr(params[-1]),
+            "--steps", str(len(params)), "--out", str(out),
+            *(["--qubits", str(extra["n_qubits"]), "--seed", str(extra["seed"])] if extra else [])]
+
+
 @pytest.mark.parametrize("family", FAMILY_NAMES)
 def test_noise_sweep_takes_no_eigh_and_kay_one_per_point(tmp_path, dense_eigs, family):
-    seeded = ["--qubits", "5", "--seed", "3"] if family == "random" else []
-    grid = ["--from", "2", "--to", "10"] if family == "kay" else ["--from", "0", "--to", "1"]
-    assert cli.main(["sweep", "--family", family, *grid, "--steps", "11", *seeded,
-                     "--out", str(tmp_path / "out.csv")]) == 0
-    dims = [dim for dim in dense_eigs if dim != 3]  # the 3x3 correlation eigenvalues aside
-    assert dims == ([8] * 11 if family == "kay" else [])
+    # The name dates from when a kay point decomposed its own matrix: now no
+    # sweep of any family, kay included, runs a d x d eigh.
+    assert cli.main(sweep_argv(family, tmp_path / "out.csv")) == 0
+    assert [dim for dim in dense_eigs if dim != 3] == []  # the 3x3 correlation eigenvalues aside
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_sweep_point_forms_its_matrix_only_when_read(tmp_path, monkeypatch, family):
+    # Every d x d matrix a state holds passes through DensityMatrix's
+    # constructor; a sweep point calls it only when its .matrix is read, and
+    # then once, with build_state's bytes.
+    built, real = [], lqu.DensityMatrix.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(lqu.DensityMatrix, "__init__", spy)
+    assert cli.main(sweep_argv(family, tmp_path / "out.csv")) == 0
+    params, extra = family_grid(family)
+    points = list(lqu.states.build_states(family, params, **extra))
+    assert [lqu.validate(rho) for rho in points] == [[]] * len(params)
+    assert built == []
+    matrix = points[3].matrix
+    assert len(built) == 1 and points[3].matrix is matrix
+    assert matrix.tobytes() == lqu.build_state(family, params[3], **extra).matrix.tobytes()
+    assert len(built) == 2
+
+
+def test_kay_eigenpairs_are_exact():
+    kay = FAMILIES["kay"][1]
+    v, mu = kay.eigenvectors, kay.eigenvalues
+    assert mu.tolist() == [-2, -2, -2, 2, 2, 2, 2, 6]
+    np.testing.assert_allclose(_KAY_BASE @ v, v * mu, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(8), rtol=0, atol=1e-15)
+
+
+def test_kay_point_eigenvalues_meet_the_decomposed_matrix():
+    # The golden grid, its ends and log-spaced gammas up to GAMMA_MAX; at
+    # gamma = 2 the three zeros are exact, where eigh reports rounding dirt.
+    gammas = [*np.linspace(2, 10, 81).tolist(), *np.geomspace(2.0, GAMMA_MAX, 25).tolist()]
+    points = list(lqu.states.build_states("kay", gammas))
+    assert points[0].spectrum.eigenvalues[:3].tolist() == [0.0] * 3
+    for gamma, rho in zip(gammas, points):
+        np.testing.assert_allclose(rho.spectrum.eigenvalues,
+                                   spectrum(lqu.kay_state(gamma).matrix).eigenvalues,
+                                   rtol=0, atol=1e-15, err_msg=repr(gamma))
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_closed_form_trace_and_verdict_meet_the_matrix(family):
+    # A sweep point's trace, (1 - p)|psi|^2 + p or the sum of kay's
+    # eigenvalues, against np.trace of its matrix; validate finds both valid.
+    params, extra = family_grid(family)
+    for rho in lqu.states.build_states(family, params, **extra):
+        alone = lqu.DensityMatrix(rho.n_qubits, rho.matrix)
+        assert abs(rho.trace - np.trace(alone.matrix)) <= 1e-14
+        assert lqu.validate(rho) == lqu.validate(alone) == []
 
 
 def assert_same_spectrum(spec, m):
@@ -149,10 +220,6 @@ def assert_same_spectrum(spec, m):
 
 def values(report):
     return [*report.per_bipartition, report.mean]
-
-
-def hexes(report):
-    return [v.hex() for v in values(report)]
 
 
 def test_spectrum_matches_the_reference_arithmetic():
@@ -187,12 +254,12 @@ _SWEEPS = [command for command, _, _ in GOLDENS if command.startswith("sweep")] 
 
 @pytest.mark.parametrize("command", _SWEEPS, ids=lambda c: "-".join(c.split()[2:-2:2]))
 def test_sweep_point_matches_the_state_decomposed_alone(tmp_path, monkeypatch, command):
-    # The same matrix decomposed alone, and the point built alone: a kay
-    # point is hex-identical to both, a noise-family point's closed form
-    # within 1e-14 of them. Just above pure (0 < p < 1e-4) the decomposed
-    # matrix's root floor costs it up to 8.4e-10 (README, "Accuracy near
-    # rank deficiency"), where the closed form meets the exact value to
-    # 1e-15 (tests/test_precision_oracle.py); there the two agree to 1e-8.
+    # The same matrix decomposed alone, and the point built alone: a sweep
+    # point's closed form lies within 1e-14 of both. Just above pure
+    # (0 < p < 1e-4) the decomposed matrix's root floor costs it up to
+    # 8.4e-10 (README, "Accuracy near rank deficiency"), where the closed
+    # form meets the exact value to 1e-15 (tests/test_precision_oracle.py);
+    # there the two agree to 1e-8.
     points = recorded_points(monkeypatch)
     argv = command.format(out=tmp_path / "out.csv").split()
     assert cli.main(argv) == 0
@@ -205,11 +272,8 @@ def test_sweep_point_matches_the_state_decomposed_alone(tmp_path, monkeypatch, c
         alone = lqu.build_state(args.family, p, args.qubits, args.seed)
         assert alone.matrix.tobytes() == rho.matrix.tobytes()
         for state in (decomposed, alone):
-            if args.family == "kay":
-                assert hexes(report) == hexes(lqu.lqu_all(state))
-            else:
-                np.testing.assert_allclose(values(report), values(lqu.lqu_all(state)),
-                                           rtol=0, atol=1e-8 if 0 < p < 1e-4 else 1e-14)
+            np.testing.assert_allclose(values(report), values(lqu.lqu_all(state)),
+                                       rtol=0, atol=1e-8 if 0 < p < 1e-4 else 1e-14)
 
 
 def state_of_rank(rank, dim, seed):

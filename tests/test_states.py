@@ -38,7 +38,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 # the families whose registry row holds an amplitude table
 PURE_FAMILIES = sorted(name for name, (_, state, _, _) in FAMILIES.items()
-                       if not callable(state))
+                       if isinstance(state, tuple))
 
 S2, S3, S6 = math.sqrt(2), math.sqrt(3), math.sqrt(6)
 
