@@ -17,7 +17,6 @@ from .analytic import (
     lqu_kay,
     lqu_w3,
     lqu_w4,
-    w3_correlation_eigenvalues,
 )
 from .core import (
     IndexOutOfRange,
@@ -81,5 +80,4 @@ __all__ = [
     "random_pure",
     "save_density_matrix",
     "validate",
-    "w3_correlation_eigenvalues",
 ]

@@ -29,6 +29,7 @@ from .states import (
     build_state,
     build_states,
     check_seed,
+    check_seeded,
     closed_form_for,
     family_row,
     load_density_matrix,
@@ -45,12 +46,8 @@ def _fmt(x: float) -> str:
 
 def _check_sweep(args) -> None:
     """Reject a sweep's arguments before --out is opened or anything computed."""
-    rule, _, _, seeded = family_row(args.family)
-    if (args.qubits is not None, args.seed is not None) != (seeded, seeded):
-        raise ValueError(f"--family {args.family} requires --qubits and --seed" if seeded
-                         else f"--qubits and --seed apply to --family random only, "
-                         f"not to {args.family!r}")
-    if seeded:
+    rule = family_row(args.family)[0]
+    if check_seeded(args.family, args.qubits, args.seed, ("--qubits", "--seed")):
         qubit_dimension(args.qubits)
         check_seed(args.seed, "--seed")
     if args.steps < 2:

@@ -35,11 +35,13 @@ class NoConvergence(ArithmeticError):
 @dataclass(frozen=True)
 class Spectrum:
     """What the package reads from the spectrum of a matrix: spectrum's
-    eigendecomposition, or mixture_spectrum's closed form.
+    eigendecomposition, or a family's closed form (mixture_spectrum's, or
+    a kay point's from its exact eigenpairs).
 
-    hermiticity_defect is max |m - m^dagger| of the matrix itself;
-    eigenvalues (ascending) and root belong to its Hermitian part. The
-    principal square root S keeps the trace, Tr S^2 = Tr m. root holds S
+    hermiticity_defect is max |m - m^dagger| of the matrix itself; a closed
+    form's is the defect of the exact state, which is 0. eigenvalues
+    (ascending) and root belong to its Hermitian part. The principal square
+    root S keeps the trace, Tr S^2 = Tr m. root holds S
     itself, or, for a rank r on the support route, the d x r factor
     F = V_r diag(w_r^(1/4)) of the r nonzero eigenvalues, with
     S = F F^dagger. A plain record: states.validate judges the invariants,
@@ -103,21 +105,19 @@ def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (s + s.conj().T) / 2
 
 
-def mixture_spectrum(psi: np.ndarray, noise: float, projector_defect: float) -> Spectrum:
+def mixture_spectrum(psi: np.ndarray, norm2: float, noise: float) -> Spectrum:
     """The Spectrum of (1 - noise) psi psi^dagger + noise * I / d in closed
-    form, with no eigh.
+    form, with no eigh, given norm2 = |psi|^2.
 
     With b = noise / d and t = (1 - noise) |psi|^2 + b, the eigenvalues are
     b (d - 1 times) and t, and the root is S = c I + g psi psi^dagger / |psi|^2
     with c = sqrt(b) and g = sqrt(t) - c, written (t - b) / (sqrt(t) + c)
     so that it does not cancel; the identity part is carried exactly, so no
     eigenvalue needs a floor. At b = 0 the rank is 1, and the support route
-    keeps the d x 1 factor t^(1/4) psi / |psi|. projector_defect is the
-    Hermiticity defect of psi psi^dagger, which the mixture scales by
-    1 - noise.
+    keeps the d x 1 factor t^(1/4) psi / |psi|. The state is exactly
+    Hermitian, so its Hermiticity defect is 0.
     """
     d = len(psi)
-    norm2 = float(np.vdot(psi, psi).real)
     a, b = (1.0 - noise) * norm2, noise / d
     w = np.full(d, b)
     w[-1] = a + b
@@ -127,4 +127,4 @@ def mixture_spectrum(psi: np.ndarray, noise: float, projector_defect: float) -> 
         c = math.sqrt(b)
         root = np.outer(psi, psi.conj() * (a / (math.sqrt(w[-1]) + c) / norm2))
         root.flat[::d + 1] += c
-    return Spectrum((1.0 - noise) * projector_defect, w, root)
+    return Spectrum(0.0, w, root)

@@ -30,7 +30,10 @@ from .linalg import (HERMITICITY_TOL, PSD_TOL, TRACE_TOL, Spectrum, _root,
 # anything of size 2^N is allocated. One complex d x d matrix takes
 # 16 * 4^N bytes (256 MiB at N = 12). The dense path keeps a state's matrix
 # (none for a sweep point) and root, and lqu_all works in at most two more
-# (tests/test_core.py): about four, 1 GiB at N = 12.
+# (tests/test_core.py). Its peak is spectrum's eigh stage, the Hermitian
+# part plus LAPACK's workspace, which tracemalloc does not see: measured by
+# VmHWM, `lqu random` peaked 6.5 d x d above its post-import RSS at N = 10
+# and 6.1 at N = 11, so about 1.5 GiB at N = 12.
 MAX_QUBITS = 12
 
 
@@ -162,46 +165,15 @@ class InvalidDensityMatrix(ValueError):
 
 
 def mix_white_noise(amplitudes, noise: float) -> DensityMatrix:
-    """(1 - noise) |psi><psi| + noise * I / 2^N for the amplitude vector psi.
+    """(1 - noise) |psi><psi| + noise * I / 2^N for the amplitude vector psi,
+    by _Mixture's rules.
 
     N is read from the vector's length, which must be 2^N with
     1 <= N <= MAX_QUBITS; every amplitude must be finite and <psi|psi>
     within TRACE_TOL of 1, so the state has unit trace.
     """
     check_noise(noise)
-    psi = _amplitudes(amplitudes)
-    return _mix(np.outer(psi, psi.conj()), noise)
-
-
-def _amplitudes(amplitudes) -> np.ndarray:
-    """The amplitude vector as complex numbers, once it meets
-    mix_white_noise's rules."""
-    psi = np.asarray(amplitudes, dtype=complex)
-    if psi.ndim != 1:
-        raise ValueError(f"amplitude vector must be 1-D, got an array of shape {psi.shape}")
-    dim = psi.size
-    n = dim.bit_length() - 1
-    if not (1 <= n <= MAX_QUBITS and dim == 2**n):
-        raise ValueError(
-            f"amplitude vector has length {dim}, "
-            f"expected 2^N with 1 <= N <= {MAX_QUBITS}"
-        )
-    if not np.isfinite(psi).all():
-        raise ValueError("amplitude vector has a non-finite entry")
-    with np.errstate(over="ignore", invalid="ignore"):  # amplitudes near the float maximum
-        norm2 = float(np.vdot(psi, psi).real)
-    if not abs(norm2 - 1.0) <= TRACE_TOL:  # an overflowed sum may be nan
-        raise ValueError(
-            f"amplitude vector has squared norm {norm2}, not within {TRACE_TOL} of 1"
-        )
-    return psi
-
-
-def _mix(projector: np.ndarray, noise: float) -> DensityMatrix:
-    """(1 - noise) projector + noise * I / d, for a checked noise."""
-    dim = len(projector)
-    m = (1.0 - noise) * projector + (noise / dim) * np.eye(dim)
-    return DensityMatrix(n_qubits=dim.bit_length() - 1, matrix=m)
+    return _Mixture(amplitudes).state(noise)
 
 
 # The Kay family's fixed part: diag(4, 0, ..., 0, 4) plus the anti-diagonal
@@ -224,25 +196,45 @@ def kay_state(gamma: float) -> DensityMatrix:
 
 
 class _Mixture:
-    """A noise family's fixed part, its amplitude vector psi, checked once by
-    mix_white_noise's rules: (1 - p) psi psi^dagger + p I / d at noise p."""
+    """A pure state mixed with white noise, (1 - p) psi psi^dagger + p I / d
+    at noise p: the fixed part of every family but kay, built and checked
+    once. It keeps the amplitude vector psi and its squared norm, and checks
+    that psi is 1-D, of length 2^N with 1 <= N <= MAX_QUBITS, finite, and
+    of squared norm within TRACE_TOL of 1."""
 
     def __init__(self, amplitudes):
-        self.psi = psi = _amplitudes(amplitudes)
-        self.n_qubits = psi.size.bit_length() - 1
-        self.norm2 = float(np.vdot(psi, psi).real)
-        projector = np.outer(psi, psi.conj())
-        self.defect = float(np.abs(projector - projector.conj().T).max())
+        psi = np.asarray(amplitudes, dtype=complex)
+        if psi.ndim != 1:
+            raise ValueError(f"amplitude vector must be 1-D, got an array of shape {psi.shape}")
+        dim = psi.size
+        n = dim.bit_length() - 1
+        if not (1 <= n <= MAX_QUBITS and dim == 2**n):
+            raise ValueError(
+                f"amplitude vector has length {dim}, "
+                f"expected 2^N with 1 <= N <= {MAX_QUBITS}"
+            )
+        if not np.isfinite(psi).all():
+            raise ValueError("amplitude vector has a non-finite entry")
+        with np.errstate(over="ignore", invalid="ignore"):  # amplitudes near the float maximum
+            norm2 = float(np.vdot(psi, psi).real)
+        if not abs(norm2 - 1.0) <= TRACE_TOL:  # an overflowed sum may be nan
+            raise ValueError(
+                f"amplitude vector has squared norm {norm2}, not within {TRACE_TOL} of 1"
+            )
+        self.psi, self.norm2, self.n_qubits = psi, norm2, n
 
     def state(self, noise: float) -> DensityMatrix:
-        """The state at noise from its matrix, by mix_white_noise's arithmetic."""
+        """The state at noise from its matrix: the package's one builder of
+        a noise-mixed matrix."""
         check_noise(noise)
-        return _mix(np.outer(self.psi, self.psi.conj()), noise)
+        dim = self.psi.size
+        m = (1.0 - noise) * np.outer(self.psi, self.psi.conj()) + (noise / dim) * np.eye(dim)
+        return DensityMatrix(n_qubits=self.n_qubits, matrix=m)
 
     def closed_form(self, noise: float) -> tuple[Spectrum, float]:
         """The Spectrum and trace of the state at noise, with no matrix."""
         check_noise(noise)
-        return (mixture_spectrum(self.psi, noise, self.defect),
+        return (mixture_spectrum(self.psi, self.norm2, noise),
                 (1.0 - noise) * self.norm2 + noise)
 
 
@@ -328,29 +320,40 @@ def valid_root(rho: DensityMatrix) -> np.ndarray:
     return rho.spectrum.root
 
 
+def _pure(n_qubits: int, table) -> _Mixture:
+    """The _Mixture of the n-qubit amplitude vector that holds each
+    (basis index, amplitude) of table and is zero elsewhere. The vector is
+    read-only, since every state of the family shares it."""
+    psi = np.zeros(2**n_qubits, dtype=complex)
+    for idx, amp in table:
+        psi[idx] = amp
+    psi.flags.writeable = False
+    return _Mixture(psi)
+
+
 # The one family registry, in the order the command line lists the families:
 # name -> (parameter rule, fixed part, closed form in the parameter or None,
-# seeded). A pure family's fixed part is its amplitude table, (qubit count,
-# [(basis index, amplitude), ...]), and a seeded family's is the draw of its
-# amplitude vector from n_qubits and seed, which no other family takes; both
-# are mixed with white noise. Kay's is its exact eigenpairs.
+# seeded). A pure family's fixed part is its _Mixture, built at import, and a
+# seeded family's is a function of (n_qubits, seed) that draws one, which no
+# other family takes. Kay's is its exact eigenpairs.
 _SQ2, _SQ3, _SQ6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 FAMILIES: dict[str, tuple] = {
-    "ghz3": (check_noise, (3, [(0, 1 / _SQ2), (7, 1 / _SQ2)]), lqu_ghz3, False),
-    "w3": (check_noise, (3, [(i, 1 / _SQ3) for i in (1, 2, 4)]), lqu_w3, False),
-    "ghz4": (check_noise, (4, [(0, 1 / _SQ2), (15, 1 / _SQ2)]), lqu_ghz4_class, False),
-    "w4": (check_noise, (4, [(i, 0.5) for i in (1, 2, 4, 8)]), lqu_w4, False),
-    "dicke24": (check_noise, (4, [(i, 1 / _SQ6) for i in (3, 5, 6, 9, 10, 12)]),
+    "ghz3": (check_noise, _pure(3, [(0, 1 / _SQ2), (7, 1 / _SQ2)]), lqu_ghz3, False),
+    "w3": (check_noise, _pure(3, [(i, 1 / _SQ3) for i in (1, 2, 4)]), lqu_w3, False),
+    "ghz4": (check_noise, _pure(4, [(0, 1 / _SQ2), (15, 1 / _SQ2)]), lqu_ghz4_class, False),
+    "w4": (check_noise, _pure(4, [(i, 0.5) for i in (1, 2, 4, 8)]), lqu_w4, False),
+    "dicke24": (check_noise, _pure(4, [(i, 1 / _SQ6) for i in (3, 5, 6, 9, 10, 12)]),
                 lqu_ghz4_class, False),
-    "singlet4": (check_noise, (4, [(3, 1 / _SQ3), (12, 1 / _SQ3)]
-                               + [(i, -0.5 / _SQ3) for i in (5, 6, 9, 10)]),
+    "singlet4": (check_noise, _pure(4, [(3, 1 / _SQ3), (12, 1 / _SQ3)]
+                                    + [(i, -0.5 / _SQ3) for i in (5, 6, 9, 10)]),
                  lqu_ghz4_class, False),
-    "cluster4": (check_noise, (4, [(0, 0.5), (3, 0.5), (12, 0.5), (15, -0.5)]),
+    "cluster4": (check_noise, _pure(4, [(0, 0.5), (3, 0.5), (12, 0.5), (15, -0.5)]),
                  lqu_ghz4_class, False),
-    "chi4": (check_noise, (4, [(15, _SQ2 / _SQ6)] + [(i, 1 / _SQ6) for i in (1, 2, 4, 8)]),
+    "chi4": (check_noise, _pure(4, [(15, _SQ2 / _SQ6)] + [(i, 1 / _SQ6) for i in (1, 2, 4, 8)]),
              lqu_ghz4_class, False),
     "kay": (check_gamma, _Kay(), lqu_kay, False),
-    "random": (check_noise, random_pure, None, True),
+    "random": (check_noise, lambda n_qubits, seed: _Mixture(random_pure(n_qubits, seed)),
+               None, True),
 }
 
 FAMILY_NAMES = tuple(FAMILIES)
@@ -366,16 +369,24 @@ def family_row(family: str) -> tuple:
         ) from None
 
 
+def check_seeded(family: str, n_qubits, seed, names=("n_qubits", "seed")) -> bool:
+    """The seeded rule: a seeded family's row ('random') needs n_qubits and
+    seed, and every other family rejects them. Returns whether the family is
+    seeded; a call that breaks the rule raises a ValueError naming the
+    family. names is how the message names the two values."""
+    seeded = family_row(family)[3]
+    if (n_qubits is not None, seed is not None) != (seeded, seeded):
+        raise ValueError(f"{family} family {'needs' if seeded else 'rejects'} "
+                         f"{names[0]} and {names[1]}")
+    return seeded
+
+
 def pure_state(family: str) -> np.ndarray:
-    """Amplitude vector of one of the pure families."""
-    _, state, _, _ = family_row(family)
-    if not isinstance(state, tuple):
+    """Amplitude vector of one of the pure families, a copy of its row's."""
+    part = family_row(family)[1]
+    if not isinstance(part, _Mixture):
         raise ValueError(f"family {family!r} has no fixed amplitude vector")
-    n, pattern = state
-    amps = np.zeros(2**n, dtype=complex)
-    for idx, amp in pattern:
-        amps[idx] = amp
-    return amps
+    return part.psi.copy()
 
 
 def closed_form_for(family: str) -> Callable[[float], float] | None:
@@ -384,19 +395,10 @@ def closed_form_for(family: str) -> Callable[[float], float] | None:
 
 
 def _family_part(family: str, n_qubits: int | None, seed: int | None) -> _Mixture | _Kay:
-    """The family's fixed part, built and checked once: a _Mixture of its
-    amplitude vector or of its one seeded draw, or kay's eigenpairs.
-
-    A seeded family's row ('random') needs n_qubits and seed, and every
-    other family rejects them; a call that breaks its row's rule raises a
-    ValueError naming the family.
-    """
-    _, state, _, seeded = family_row(family)
-    if (n_qubits is not None, seed is not None) != (seeded, seeded):
-        raise ValueError(f"{family} family {'needs' if seeded else 'rejects'} n_qubits and seed")
-    if seeded:
-        return _Mixture(state(n_qubits, seed))
-    return _Mixture(pure_state(family)) if isinstance(state, tuple) else state
+    """The family's fixed part, after check_seeded's rule: its row's
+    _Mixture or kay's eigenpairs, or a seeded family's one draw."""
+    part = family_row(family)[1]
+    return part(n_qubits, seed) if check_seeded(family, n_qubits, seed) else part
 
 
 def build_states(
@@ -407,7 +409,7 @@ def build_states(
 
     A param is the white-noise fraction for the noise-mixed families and the
     gamma parameter for the Kay family; n_qubits and seed follow
-    _family_part's rule. Each point is its family's closed form, with no
+    check_seeded's rule. Each point is its family's closed form, with no
     eigh: a noise family's Spectrum from linalg.mixture_spectrum, a kay
     point's from its exact eigenpairs. Its d x d matrix is formed only if
     .matrix is read, with the bytes build_state gives.

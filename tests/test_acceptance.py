@@ -13,6 +13,7 @@ import pytest
 
 import lqu
 from lqu import cli
+from lqu.analytic import w3_correlation_eigenvalues
 from lqu.linalg import spectrum
 
 from helpers import (
@@ -66,7 +67,7 @@ def test_criterion_2_w3_oracle_match():
         got = lqu.lqu_bipartition(noisy("w3", beta), 0)
         assert abs(got - lqu.lqu_w3(beta)) <= 1e-8
         eigs = np.linalg.eigvalsh(lqu.correlation_matrix(noisy("w3", beta), 0))
-        w1, _, w3 = lqu.w3_correlation_eigenvalues(beta)
+        w1, _, w3 = w3_correlation_eigenvalues(beta)
         assert abs(eigs[0] - eigs[1]) <= 1e-8  # degenerate pair
         assert abs(eigs[0] - w1) <= 1e-8
         assert abs(eigs[2] - w3) <= 1e-8

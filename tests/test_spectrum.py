@@ -150,9 +150,8 @@ def sweep_argv(family, out):
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
-def test_noise_sweep_takes_no_eigh_and_kay_one_per_point(tmp_path, dense_eigs, family):
-    # The name dates from when a kay point decomposed its own matrix: now no
-    # sweep of any family, kay included, runs a d x d eigh.
+def test_no_sweep_takes_a_dense_eigh(tmp_path, dense_eigs, family):
+    # No sweep of any family, kay included, runs a d x d eigh.
     assert cli.main(sweep_argv(family, tmp_path / "out.csv")) == 0
     assert [dim for dim in dense_eigs if dim != 3] == []  # the 3x3 correlation eigenvalues aside
 
