@@ -119,24 +119,14 @@ _CURVE_ENDPOINTS = {"ghz3": ("1", "0"), "w3": ("0.888888888889", "0"),
                     "kay": ("0.333333333333", None)}
 
 
-def test_curve_sweeps_meet_their_50_digit_closed_forms_to_1e_15(tmp_path, monkeypatch):
-    # Every q<k> and the mean of the nine paper curves, read from the sweep
-    # with every digit (repr in place of the 12-digit format), lies within
-    # 1e-15 of the closed form at the point's float parameter: the gate on
-    # accuracy beside the byte gate on the goldens, which holds only the
-    # printed 12 digits. Every sweep point takes its spectrum in closed form:
-    # a noise family's with the identity part carried exactly, a kay point's
-    # from the exact eigenpairs of its base (3.9e-16 measured on the noise
-    # curves, 7.0e-16 on kay). A tenth sweep, w4 just above pure, meets the
-    # bound too, where the root floor of a decomposed matrix costs up to
-    # 8.4e-10 (7.6e-17 measured). The nine curves' printed endpoints are
-    # pinned as well.
-    fmt = cli._fmt
-    monkeypatch.setattr(cli, "_fmt", repr)
-    sweeps = SWEEPS + [("w4", "0", "1e-12", "5")]
-    assert len(sweeps) == 10
+def _sweep_values(tmp_path, sweeps):
+    # Runs each sweep with every digit (repr in place of the 12-digit
+    # format), checks every q<k> and the mean of each point within 1e-15 of
+    # the 50-digit closed form at the point's float parameter, and returns
+    # each sweep's values, row by row.
+    out_values = []
     with mpmath.workdps(50):
-        for i, (family, lo, hi, steps) in enumerate(sweeps):
+        for family, lo, hi, steps in sweeps:
             out = tmp_path / f"{family}.csv"
             assert cli.main(["sweep", "--family", family, "--from", lo, "--to", hi,
                              "--steps", steps, "--out", str(out)]) == 0
@@ -149,8 +139,32 @@ def test_curve_sweeps_meet_their_50_digit_closed_forms_to_1e_15(tmp_path, monkey
                 exact = _exact_closed_form(family, float(row["param"]))
                 err = max(abs(mpmath.mpf(v) - exact) for v in got)
                 assert err <= 1e-15, (family, row["param"], mpmath.nstr(err, 3))
-            if i < len(SWEEPS):
-                first, last = _CURVE_ENDPOINTS[family]
-                assert {fmt(v) for v in values[0]} == {first}, family
-                if last is not None:
-                    assert {fmt(v) for v in values[-1]} == {last}, family
+            out_values.append(values)
+    return out_values
+
+
+def test_curve_sweeps_meet_their_50_digit_closed_forms(tmp_path, monkeypatch):
+    # Every q<k> and the mean of the nine paper curves lies within 1e-15 of
+    # the closed form: the gate on accuracy beside the byte gate on the
+    # goldens, which holds only the printed 12 digits. The printed endpoints
+    # are pinned as well.
+    fmt = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", repr)
+    for (family, *_), values in zip(SWEEPS, _sweep_values(tmp_path, SWEEPS)):
+        first, last = _CURVE_ENDPOINTS[family]
+        assert {fmt(v) for v in values[0]} == {first}, family
+        if last is not None:
+            assert {fmt(v) for v in values[-1]} == {last}, family
+
+
+def test_noise_sweeps_meet_their_50_digit_closed_forms_to_1e_15(tmp_path, monkeypatch):
+    # Every sweep point takes its spectrum in closed form: a noise family's
+    # with the identity part carried exactly, a kay point's from the exact
+    # eigenpairs of its base. So all nine curves meet 1e-15 (3.9e-16
+    # measured on the noise curves, 7.0e-16 on kay), and so does w4 just
+    # above pure, where the root floor of a decomposed matrix costs up to
+    # 8.4e-10 (7.6e-17 measured).
+    monkeypatch.setattr(cli, "_fmt", repr)
+    sweeps = SWEEPS + [("w4", "0", "1e-12", "5")]
+    assert len(sweeps) == 10
+    _sweep_values(tmp_path, sweeps)
