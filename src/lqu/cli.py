@@ -26,15 +26,16 @@ from .linalg import NoConvergence
 from .states import (
     FAMILY_NAMES,
     InvalidDensityMatrix,
-    build_state,
     build_states,
     check_seed,
     check_seeded,
     closed_form_for,
     family_row,
     load_density_matrix,
+    mix_white_noise,
     output_file,
     qubit_dimension,
+    random_pure,
     save_density_matrix,
 )
 
@@ -115,7 +116,8 @@ def cmd_sweep(args) -> int:
 def cmd_random(args) -> int:
     check_noise(args.pure_fraction, "--pure-fraction")  # not 1 - it, which can round into range
     check_seed(args.seed, "--seed")
-    rho = build_state("random", 1.0 - args.pure_fraction, args.qubits, args.seed)
+    # a matrix, decomposed as compute decomposes the --dump file
+    rho = mix_white_noise(random_pure(args.qubits, args.seed), 1.0 - args.pure_fraction)
     if args.dump:
         save_density_matrix(rho, args.dump)
     for line in _report_lines(lqu_all(rho)):

@@ -44,18 +44,20 @@ class Spectrum:
     root S keeps the trace, Tr S^2 = Tr m. root holds S
     itself, or, for a rank r on the support route, the d x r factor
     F = V_r diag(w_r^(1/4)) of the r nonzero eigenvalues, with
-    S = F F^dagger. A plain record: states.validate judges the invariants,
+    S = F F^dagger. trace is Tr m: np.trace of the matrix, or the closed
+    form's. A plain record: states.validate judges the invariants,
     and states.valid_root hands out root once they hold.
     """
 
     hermiticity_defect: float
     eigenvalues: np.ndarray
     root: np.ndarray
+    trace: complex
 
 
 def spectrum(m) -> Spectrum:
-    """Hermiticity defect, eigenvalues and square root of one matrix, from
-    one eigh.
+    """Hermiticity defect, eigenvalues, square root and trace of one
+    matrix, from one eigh.
 
     Never raises on a non-Hermitian or non-PSD input, so validation can
     report such defects as data.
@@ -66,11 +68,13 @@ def spectrum(m) -> Spectrum:
         w, v = np.linalg.eigh(a / 2 + a.conj().T / 2)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
-    # Finite entries near the float maximum overflow the defect. Only a
-    # matrix validate rejects can overflow in _root: an accepted state's
-    # eigenvalues sum to within TRACE_TOL of 1, with none below -PSD_TOL.
+    # Finite entries near the float maximum overflow the defect and the
+    # trace. Only a matrix validate rejects can overflow in _root: an
+    # accepted state's eigenvalues sum to within TRACE_TOL of 1, with none
+    # below -PSD_TOL.
     with np.errstate(over="ignore", invalid="ignore"):
-        return Spectrum(float(np.abs(a - a.conj().T).max()), w, _root(w, v))
+        return Spectrum(float(np.abs(a - a.conj().T).max()), w, _root(w, v),
+                        complex(np.trace(a)))
 
 
 def _support_route(r: int, d: int) -> bool:
@@ -115,7 +119,8 @@ def mixture_spectrum(psi: np.ndarray, norm2: float, noise: float) -> Spectrum:
     so that it does not cancel; the identity part is carried exactly, so no
     eigenvalue needs a floor. At b = 0 the rank is 1, and the support route
     keeps the d x 1 factor t^(1/4) psi / |psi|. The state is exactly
-    Hermitian, so its Hermiticity defect is 0.
+    Hermitian, so its Hermiticity defect is 0, and its trace is
+    (1 - noise) |psi|^2 + noise.
     """
     d = len(psi)
     a, b = (1.0 - noise) * norm2, noise / d
@@ -127,4 +132,4 @@ def mixture_spectrum(psi: np.ndarray, norm2: float, noise: float) -> Spectrum:
         c = math.sqrt(b)
         root = np.outer(psi, psi.conj() * (a / (math.sqrt(w[-1]) + c) / norm2))
         root.flat[::d + 1] += c
-    return Spectrum(0.0, w, root)
+    return Spectrum(0.0, w, root, a + noise)

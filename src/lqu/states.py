@@ -91,10 +91,11 @@ class DensityMatrix:
 
     DensityMatrix(n_qubits, matrix) checks the shape and that every entry
     is finite, and stores the matrix as a read-only copy, so the spectrum
-    computed from it on first use can never go stale. A point build_states
-    yields is the other source: its family's closed-form Spectrum and trace,
-    with its matrix formed only when read. Either way validate() checks the
-    other invariants, and reports violations as data instead of raising.
+    computed from it on first use can never go stale. A named family's
+    state, as build_states and build_state give it, is the other source:
+    its family's closed-form Spectrum, with its matrix formed only when
+    read. Either way validate() checks the other invariants from the
+    Spectrum, and reports violations as data instead of raising.
     """
 
     def __init__(self, n_qubits: int, matrix):
@@ -121,22 +122,15 @@ class DensityMatrix:
         sqrt(rho) in core read it."""
         return spectrum(self.matrix)
 
-    @cached_property
-    def trace(self) -> complex:
-        """Tr rho, as validate reads it."""
-        with np.errstate(over="ignore", invalid="ignore"):  # entries near the float maximum
-            return complex(np.trace(self.matrix))
-
 
 class _ClosedForm(DensityMatrix):
     """A family's state at one parameter, from its fixed part's closed form:
-    the Spectrum and trace with no eigh, and the matrix only when read, with
-    the bytes build_state gives."""
+    the Spectrum with no eigh, and the matrix only when read, with the bytes
+    of the fixed part's state(param)."""
 
     def __init__(self, part, param):
         self.n_qubits, self._part, self._param = part.n_qubits, part, param
-        # plain attributes, in place of the matrix source's cached properties
-        self.spectrum, self.trace = part.closed_form(param)
+        self.spectrum = part.closed_form(param)  # in place of the cached property
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -178,7 +172,8 @@ def mix_white_noise(amplitudes, noise: float) -> DensityMatrix:
 
 # The Kay family's fixed part: diag(4, 0, ..., 0, 4) plus the anti-diagonal
 # (2, 2, -2, 2, 2, -2, 2, 2). Complex, because numpy divides a complex array
-# by a float otherwise than a real one, and the goldens hold those bits.
+# by a float otherwise than a real one, and
+# tests/test_states.py::test_kay_base_gives_the_entries_bytes holds those bits.
 _KAY_BASE = (np.diag([4.0, 0, 0, 0, 0, 0, 0, 4])
              + np.fliplr(np.diag([2.0, 2, -2, 2, 2, -2, 2, 2]))).astype(complex)
 
@@ -231,11 +226,10 @@ class _Mixture:
         m = (1.0 - noise) * np.outer(self.psi, self.psi.conj()) + (noise / dim) * np.eye(dim)
         return DensityMatrix(n_qubits=self.n_qubits, matrix=m)
 
-    def closed_form(self, noise: float) -> tuple[Spectrum, float]:
-        """The Spectrum and trace of the state at noise, with no matrix."""
+    def closed_form(self, noise: float) -> Spectrum:
+        """The Spectrum of the state at noise, with no matrix."""
         check_noise(noise)
-        return (mixture_spectrum(self.psi, self.norm2, noise),
-                (1.0 - noise) * self.norm2 + noise)
+        return mixture_spectrum(self.psi, self.norm2, noise)
 
 
 class _Kay:
@@ -252,13 +246,14 @@ class _Kay:
 
     state = staticmethod(kay_state)
 
-    def closed_form(self, gamma: float) -> tuple[Spectrum, float]:
-        """The Spectrum and trace of kay_state(gamma), with no matrix: the
-        root by the one per-matrix rule, linalg._root."""
+    def closed_form(self, gamma: float) -> Spectrum:
+        """The Spectrum of kay_state(gamma), with no matrix: the root by the
+        one per-matrix rule, linalg._root, and the eigenvalues' sum as the
+        trace."""
         g = float(gamma)
         check_gamma(g)
         w = (self.eigenvalues + g) / (8 + 8 * g)
-        return Spectrum(0.0, w, _root(w, self.eigenvectors)), float(w.sum())
+        return Spectrum(0.0, w, _root(w, self.eigenvectors), float(w.sum()))
 
 
 def gaussian_reals(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -302,7 +297,7 @@ def validate(rho: DensityMatrix) -> list[Violation]:
     out: list[Violation] = []
     if spec.hermiticity_defect > HERMITICITY_TOL:
         out.append(Violation("HermiticityViolation", spec.hermiticity_defect))
-    trace_err = abs(rho.trace - 1.0)
+    trace_err = abs(spec.trace - 1.0)
     if not trace_err <= TRACE_TOL:  # an overflowed sum may be nan
         out.append(Violation("TraceViolation", trace_err))
     w0 = spec.eigenvalues[0]
@@ -394,13 +389,6 @@ def closed_form_for(family: str) -> Callable[[float], float] | None:
     return family_row(family)[2]
 
 
-def _family_part(family: str, n_qubits: int | None, seed: int | None) -> _Mixture | _Kay:
-    """The family's fixed part, after check_seeded's rule: its row's
-    _Mixture or kay's eigenpairs, or a seeded family's one draw."""
-    part = family_row(family)[1]
-    return part(n_qubits, seed) if check_seeded(family, n_qubits, seed) else part
-
-
 def build_states(
     family: str, params, n_qubits: int | None = None, seed: int | None = None
 ) -> Iterator[DensityMatrix]:
@@ -409,12 +397,16 @@ def build_states(
 
     A param is the white-noise fraction for the noise-mixed families and the
     gamma parameter for the Kay family; n_qubits and seed follow
-    check_seeded's rule. Each point is its family's closed form, with no
-    eigh: a noise family's Spectrum from linalg.mixture_spectrum, a kay
-    point's from its exact eigenpairs. Its d x d matrix is formed only if
-    .matrix is read, with the bytes build_state gives.
+    check_seeded's rule. The family's fixed part is taken once: its row's
+    _Mixture or kay's eigenpairs, or a seeded family's one draw. Each point
+    is its family's closed form, with no eigh: a noise family's Spectrum
+    from linalg.mixture_spectrum, a kay point's from its exact eigenpairs.
+    Its d x d matrix is formed only if .matrix is read, by the fixed part's
+    state(param): _Mixture.state or kay_state.
     """
-    part = _family_part(family, n_qubits, seed)
+    part = family_row(family)[1]
+    if check_seeded(family, n_qubits, seed):
+        part = part(n_qubits, seed)
     for param in params:
         yield _ClosedForm(part, param)
 
@@ -422,11 +414,9 @@ def build_states(
 def build_state(
     family: str, param: float, n_qubits: int | None = None, seed: int | None = None
 ) -> DensityMatrix:
-    """The density matrix of a named family at one parameter value, by
-    build_states' rules. Like every single state it is its matrix,
-    decomposed on first use, so `random` prints what `compute` of its dump
-    prints."""
-    return _family_part(family, n_qubits, seed).state(param)
+    """The state of a named family at one parameter value: the one point of
+    build_states at [param], by its rules, in closed form."""
+    return next(build_states(family, [param], n_qubits, seed))
 
 
 # --- density-matrix JSON format -------------------------------------------

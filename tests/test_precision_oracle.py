@@ -168,3 +168,35 @@ def test_noise_sweeps_meet_their_50_digit_closed_forms_to_1e_15(tmp_path, monkey
     sweeps = SWEEPS + [("w4", "0", "1e-12", "5")]
     assert len(sweeps) == 10
     _sweep_values(tmp_path, sweeps)
+
+
+def _built_points(family):
+    """The parameters a built state is checked at, and the n_qubits and seed
+    of the family's registry row: kay's golden grid, and p = 1e-16, 1e-14
+    and 1e-12 for a noise family, just above its pure state."""
+    if family == "kay":
+        return np.linspace(2, 10, 81).tolist(), {}
+    return [1e-16, 1e-14, 1e-12], ({"n_qubits": 5, "seed": 3} if family == "random" else {})
+
+
+@pytest.mark.parametrize("family", lqu.FAMILY_NAMES)
+def test_built_state_is_its_closed_form_sweep_point(family):
+    # build_state is the one point of build_states: the same eigenvalue and
+    # root bytes, and so, for every family with a closed form, every q<k>
+    # and the mean within 1e-15 of the 50-digit value (2.4e-16 measured on
+    # the noise families, 7.0e-16 on kay). The same states decomposed from
+    # their matrices miss by up to 7.1e-8 on these points, where the root
+    # floor and eigh's rounding of the small eigenvalues set the digits.
+    params, extra = _built_points(family)
+    with mpmath.workdps(50):
+        for p in params:
+            alone = lqu.build_state(family, p, **extra)
+            point = next(lqu.states.build_states(family, [p], **extra))
+            assert [alone.spectrum.eigenvalues.tobytes(), alone.spectrum.root.tobytes()] == [
+                point.spectrum.eigenvalues.tobytes(), point.spectrum.root.tobytes()], p
+            if family != "random":
+                report = lqu.lqu_all(alone)
+                exact = _exact_closed_form(family, p)
+                err = max(abs(mpmath.mpf(v) - exact)
+                          for v in [*report.per_bipartition, report.mean])
+                assert err <= 1e-15, (p, mpmath.nstr(err, 3))

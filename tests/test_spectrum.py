@@ -1,6 +1,6 @@
-"""One eigendecomposition per state, shared by every consumer; a family's
-sweep points take theirs in closed form, with none, and form their matrix
-only when it is read."""
+"""One eigendecomposition per state, shared by every consumer; a named
+family's states, swept or built alone, take theirs in closed form, with
+none, and form their matrix only when it is read."""
 
 import math
 import tracemalloc
@@ -114,8 +114,8 @@ def recorded_points(monkeypatch):
 
 def test_sweep_decomposes_each_point_once_on_either_route(tmp_path, monkeypatch, dense_eigs):
     # p = 0 is the pure W state (support route), p = 1 is I/16 (dense root);
-    # the sweep takes both spectra in closed form, the state built alone
-    # decomposes its own matrix, and the two agree within 1e-14.
+    # the sweep takes both spectra in closed form, the same matrix given as
+    # a DensityMatrix decomposes once, and the two agree within 1e-14.
     points = recorded_points(monkeypatch)
     out = tmp_path / "w4.csv"
     assert cli.main(["sweep", "--family", "w4", "--from", "0", "--to", "1",
@@ -126,8 +126,9 @@ def test_sweep_decomposes_each_point_once_on_either_route(tmp_path, monkeypatch,
     for p, (rho, report) in zip([0.0, 1.0], points):
         alone = lqu.build_state("w4", p)
         assert alone.matrix.tobytes() == rho.matrix.tobytes()
-        assert alone.spectrum.root.shape == rho.spectrum.root.shape
-        np.testing.assert_allclose(values(report), values(lqu.lqu_all(alone)),
+        decomposed = lqu.DensityMatrix(4, alone.matrix)
+        assert decomposed.spectrum.root.shape == rho.spectrum.root.shape
+        np.testing.assert_allclose(values(report), values(lqu.lqu_all(decomposed)),
                                    rtol=0, atol=1e-14)
     assert dense_eigs.count(16) == 2
 
@@ -202,11 +203,16 @@ def test_kay_point_eigenvalues_meet_the_decomposed_matrix():
 @pytest.mark.parametrize("family", FAMILY_NAMES)
 def test_closed_form_trace_and_verdict_meet_the_matrix(family):
     # A sweep point's trace, (1 - p)|psi|^2 + p or the sum of kay's
-    # eigenvalues, against np.trace of its matrix; validate finds both valid.
+    # eigenvalues, against np.trace of its matrix, which is bit for bit the
+    # trace of the matrix decomposed as a DensityMatrix; validate finds both
+    # valid.
     params, extra = family_grid(family)
     for rho in lqu.states.build_states(family, params, **extra):
         alone = lqu.DensityMatrix(rho.n_qubits, rho.matrix)
-        assert abs(rho.trace - np.trace(alone.matrix)) <= 1e-14
+        trace = complex(np.trace(alone.matrix))
+        assert type(alone.spectrum.trace) is complex
+        assert np.array(alone.spectrum.trace).tobytes() == np.array(trace).tobytes()
+        assert abs(rho.spectrum.trace - trace) <= 1e-14
         assert lqu.validate(rho) == lqu.validate(alone) == []
 
 
@@ -253,12 +259,12 @@ _SWEEPS = [command for command, _, _ in GOLDENS if command.startswith("sweep")] 
 
 @pytest.mark.parametrize("command", _SWEEPS, ids=lambda c: "-".join(c.split()[2:-2:2]))
 def test_sweep_point_matches_the_state_decomposed_alone(tmp_path, monkeypatch, command):
-    # The same matrix decomposed alone, and the point built alone: a sweep
-    # point's closed form lies within 1e-14 of both. Just above pure
-    # (0 < p < 1e-4) the decomposed matrix's root floor costs it up to
-    # 8.4e-10 (README, "Accuracy near rank deficiency"), where the closed
-    # form meets the exact value to 1e-15 (tests/test_precision_oracle.py);
-    # there the two agree to 1e-8.
+    # The point built alone is the sweep point's closed form, value for
+    # value, and the same matrix decomposed alone lies within 1e-14 of it.
+    # Just above pure (0 < p < 1e-4) the decomposed matrix's root floor
+    # costs it up to 8.4e-10 (README, "Accuracy near rank deficiency"),
+    # where the closed form meets the exact value to 1e-15
+    # (tests/test_precision_oracle.py); there the two agree to 1e-8.
     points = recorded_points(monkeypatch)
     argv = command.format(out=tmp_path / "out.csv").split()
     assert cli.main(argv) == 0
@@ -270,9 +276,9 @@ def test_sweep_point_matches_the_state_decomposed_alone(tmp_path, monkeypatch, c
         assert_same_spectrum(decomposed.spectrum, rho.matrix)
         alone = lqu.build_state(args.family, p, args.qubits, args.seed)
         assert alone.matrix.tobytes() == rho.matrix.tobytes()
-        for state in (decomposed, alone):
-            np.testing.assert_allclose(values(report), values(lqu.lqu_all(state)),
-                                       rtol=0, atol=1e-8 if 0 < p < 1e-4 else 1e-14)
+        assert values(lqu.lqu_all(alone)) == values(report)
+        np.testing.assert_allclose(values(report), values(lqu.lqu_all(decomposed)),
+                                   rtol=0, atol=1e-8 if 0 < p < 1e-4 else 1e-14)
 
 
 def state_of_rank(rank, dim, seed):
